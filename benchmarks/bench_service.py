@@ -44,8 +44,9 @@ from repro.ir.builder import IRBuilder  # noqa: E402
 from repro.ir.module import Module  # noqa: E402
 from repro.ir.printer import module_to_text  # noqa: E402
 from repro.runtime import (  # noqa: E402
+    CampaignConfig,
     CampaignJournal,
-    campaign_metadata,
+    DetectionModel,
     run_campaign,
 )
 from repro.service import (  # noqa: E402
@@ -82,17 +83,11 @@ def build_workload(n: int = 400) -> Module:
 
 
 def serial_reference(module: Module, spec: CampaignSpec, path: str) -> float:
-    detector = spec.detector()
     start = time.perf_counter()
     with CampaignJournal(path) as journal:
-        journal.write_header(campaign_metadata(
-            module, spec.seed, detector,
-            function=spec.function, args=list(spec.args),
-            faults_per_trial=spec.faults_per_trial,
-        ))
+        journal.write_header(spec.config.header(module))
         run_campaign(
-            module, trials=spec.trials, seed=spec.seed, detector=detector,
-            output_objects=list(spec.output_objects),
+            module, spec.config, trials=spec.trials,
             on_result=journal.record,
         )
     return time.perf_counter() - start
@@ -100,11 +95,7 @@ def serial_reference(module: Module, spec: CampaignSpec, path: str) -> float:
 
 def pool_run(module: Module, spec: CampaignSpec, jobs: int) -> float:
     start = time.perf_counter()
-    run_campaign(
-        module, trials=spec.trials, seed=spec.seed,
-        detector=spec.detector(),
-        output_objects=list(spec.output_objects), jobs=jobs,
-    )
+    run_campaign(module, spec.config, trials=spec.trials, jobs=jobs)
     return time.perf_counter() - start
 
 
@@ -148,10 +139,10 @@ def main() -> int:
     module = build_workload()
     spec = CampaignSpec(
         module_text=module_to_text(module) + "\n",
-        output_objects=("arr",),
+        config=CampaignConfig(
+            output_objects=("arr",), seed=11, detector=DetectionModel(dmax=60),
+        ),
         trials=args.trials,
-        seed=11,
-        dmax=60,
     )
 
     with tempfile.TemporaryDirectory(prefix="encore-bench-svc-") as tmp:

@@ -25,15 +25,13 @@ from repro.frontend import compile_source
 from repro.ir import module_to_text, parse_module, verify_module
 from repro.opt import optimize_module
 from repro.runtime import (
+    CampaignConfig,
     CampaignInterrupted,
     CampaignJournal,
     CampaignResult,
-    DetectionModel,
     ENGINES,
     JournalError,
     REPLAY_CHUNK_DEFAULT,
-    SupervisorPolicy,
-    campaign_metadata,
     default_journal_path,
     load_journal,
     make_interpreter,
@@ -96,6 +94,15 @@ def _config_from(args) -> EncoreConfig:
         eta=args.eta,
         metadata_guard=getattr(args, "guard", "off"),
     )
+
+
+def _campaign_config(args) -> CampaignConfig:
+    """The campaign an ``inject``/``submit`` command line names: each
+    campaign flag's dest is its key in the flat spec JSON."""
+    return CampaignConfig.from_json({
+        key: getattr(args, key)
+        for key in CampaignConfig().to_json() if hasattr(args, key)
+    })
 
 
 def _int_args(tokens: List[str]) -> List[int]:
@@ -174,22 +181,18 @@ def _print_section_table(rows) -> None:
               f"{row['covered']:>8.1%}")
 
 
-def _plain_section_rows(module, campaign, args, detector):
+def _plain_section_rows(module, campaign, config):
     """Per-section outcome rows for a plain (non-incremental) campaign:
     re-derive the plans, attribute each trial by its primary site."""
     from repro.incremental import capture_attribution
-    from repro.runtime.sfi import COVERED_OUTCOMES, plan_campaign
+    from repro.runtime.sfi import COVERED_OUTCOMES
 
     profile = capture_attribution(
-        module, function=args.function, args=_int_args(args.args),
-        output_objects=args.outputs or (), threads=args.threads,
-        quantum=args.quantum,
+        module, function=config.function, args=config.args,
+        output_objects=config.output_objects, threads=config.threads,
+        quantum=config.quantum,
     )
-    plans = plan_campaign(
-        args.seed, len(campaign.trials), profile.events, detector,
-        args.faults_per_trial, args.recovery_faults_per_trial,
-        args.metadata_faults, args.cf_faults_per_trial,
-    )
+    plans = config.plans(len(campaign.trials), profile.events)
     tallies = {}
     for plan, trial in zip(plans, campaign.trials):
         section = profile.section_of_site(plan.sites[0])
@@ -205,8 +208,7 @@ def _plain_section_rows(module, campaign, args, detector):
     ]
 
 
-def _cmd_inject_incremental(args, module, detector, policy, metadata,
-                            progress) -> int:
+def _cmd_inject_incremental(args, module, config, progress) -> int:
     import os
 
     from repro.incremental import (
@@ -222,16 +224,7 @@ def _cmd_inject_incremental(args, module, detector, policy, metadata,
               file=sys.stderr)
         return 2
     try:
-        validate_incremental_config(
-            faults_per_trial=args.faults_per_trial,
-            recovery_faults_per_trial=args.recovery_faults_per_trial,
-            metadata_faults_per_trial=args.metadata_faults,
-            cf_faults_per_trial=args.cf_faults_per_trial,
-            metadata_guard=args.guard,
-            detector_backend=args.detector,
-            threads=args.threads,
-            policy=policy,
-        )
+        validate_incremental_config(config)
     except IncrementalError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -255,26 +248,18 @@ def _cmd_inject_incremental(args, module, detector, policy, metadata,
         # emission rule: present exactly for incremental campaigns, so
         # validate_resume's union comparison refuses any cross-mode mix.
         if journal is not None:
-            journal.write_header({**metadata, "incremental": info})
+            journal.write_header(config.header(module, info))
 
     try:
         store = SectionStore.open(args.incremental)
         campaign = run_incremental_campaign(
-            module, store,
-            function=args.function,
-            args=_int_args(args.args),
-            output_objects=args.outputs or (),
-            detector=detector,
+            module, store, config,
             trials=args.trials,
-            seed=args.seed,
             jobs=args.jobs,
             chunk_size=args.chunk_size,
             progress=progress,
-            policy=policy,
-            trial_timeout=args.trial_timeout,
             on_result=journal.record if journal else None,
             on_start=on_start,
-            engine=args.engine,
             min_section_trials=args.min_section_trials,
             update_store=not args.no_update_store,
         )
@@ -326,32 +311,13 @@ def cmd_inject(args) -> int:
     if args.progress:
         def progress(done: int, total: int) -> None:
             print(f"\r{done}/{total} trials", end="", file=sys.stderr, flush=True)
-    detector = DetectionModel(dmax=args.dmax)
-    policy = SupervisorPolicy(
-        max_attempts=args.max_attempts,
-        attempt_step_budget=args.step_budget,
-    )
-    metadata = campaign_metadata(
-        module,
-        args.seed,
-        detector,
-        function=args.function,
-        args=_int_args(args.args),
-        faults_per_trial=args.faults_per_trial,
-        recovery_faults_per_trial=args.recovery_faults_per_trial,
-        metadata_faults_per_trial=args.metadata_faults,
-        metadata_guard=args.guard,
-        detector_backend=args.detector,
-        replay_chunk_size=args.replay_chunk,
-        cf_faults_per_trial=args.cf_faults_per_trial,
-        cfe_detector=args.cfe_detector,
-        threads=args.threads,
-        quantum=args.quantum,
-    )
+    try:
+        config = _campaign_config(args)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if args.incremental is not None:
-        return _cmd_inject_incremental(
-            args, module, detector, policy, metadata, progress
-        )
+        return _cmd_inject_incremental(args, module, config, progress)
 
     completed = None
     journal_path = None
@@ -359,7 +325,7 @@ def cmd_inject(args) -> int:
     if args.resume is not None:
         try:
             journal_meta, completed = load_journal(args.resume)
-            validate_resume(journal_meta, metadata)
+            validate_resume(journal_meta, config.header(module))
         except (OSError, JournalError) as exc:
             print(f"cannot resume: {exc}", file=sys.stderr)
             return 1
@@ -377,40 +343,18 @@ def cmd_inject(args) -> int:
     on_result = None
     if journal is not None:
         if not resuming:
-            journal.write_header(metadata)
+            journal.write_header(config.header(module))
         on_result = journal.record
     try:
         campaign = run_campaign(
-            module,
-            function=args.function,
-            args=_int_args(args.args),
-            output_objects=args.outputs or (),
-            detector=detector,
+            module, config,
             trials=args.trials,
-            seed=args.seed,
-            faults_per_trial=args.faults_per_trial,
-            recovery_faults_per_trial=args.recovery_faults_per_trial,
-            metadata_faults_per_trial=args.metadata_faults,
-            metadata_guard=args.guard,
             jobs=args.jobs,
             chunk_size=args.chunk_size,
             progress=progress,
-            policy=policy,
-            trial_timeout=args.trial_timeout,
             completed=completed,
             on_result=on_result,
-            engine=args.engine,
-            detector_backend=args.detector,
-            replay_chunk_size=args.replay_chunk,
-            cf_faults_per_trial=args.cf_faults_per_trial,
-            cfe_detector=args.cfe_detector,
-            threads=args.threads,
-            quantum=args.quantum,
         )
-    except ValueError as exc:
-        # e.g. replay backend requested for a multithreaded campaign
-        print(str(exc), file=sys.stderr)
-        return 2
     except CampaignInterrupted as exc:
         # Ctrl-C mid-campaign: the journal already holds every finished
         # trial (streamed via on_result), so report the partial outcome
@@ -451,14 +395,14 @@ def cmd_inject(args) -> int:
     if args.by_section:
         try:
             _print_section_table(
-                _plain_section_rows(module, campaign, args, detector)
+                _plain_section_rows(module, campaign, config)
             )
         except Exception as exc:  # attribution needs a replayable golden
             print(f"# --by-section unavailable: {exc}", file=sys.stderr)
     if campaign.mean_wasted_work:
         print(f"mean wasted work per recovery: "
               f"{campaign.mean_wasted_work:.0f} instructions")
-    if args.detector == "replay":
+    if config.detector_backend == "replay":
         # Measured (not sampled) latencies: journaled per trial, so
         # these lines are deterministic and resume-stable.
         latencies = sorted(
@@ -469,7 +413,7 @@ def cmd_inject(args) -> int:
             mean = sum(latencies) / len(latencies)
             print(f"replay detection latency: mean {mean:.1f}, "
                   f"max {latencies[-1]}, n={len(latencies)} "
-                  f"(chunk {args.replay_chunk or REPLAY_CHUNK_DEFAULT})")
+                  f"(chunk {config.replay_chunk_size or REPLAY_CHUNK_DEFAULT})")
         replayed = sum(t.replay_overhead for t in campaign.trials)
         print(f"replay re-executed instructions: {replayed}")
     # Wall-clock statistics go after the deterministic outcome table
@@ -613,32 +557,13 @@ def cmd_serve(args) -> int:
 
 def _spec_from_submit_args(args) -> dict:
     module = _load(args.module)
-    spec = {
+    return {
         "kind": "sfi",
         "module_text": module_to_text(module) + "\n",
-        "function": args.function,
-        "args": _int_args(args.args),
-        "output_objects": args.outputs or [],
         "trials": args.trials,
-        "seed": args.seed,
-        "dmax": args.dmax,
-        "faults_per_trial": args.faults_per_trial,
-        "recovery_faults_per_trial": args.recovery_faults_per_trial,
-        "metadata_faults_per_trial": args.metadata_faults,
-        "metadata_guard": args.guard,
-        "detector_backend": args.detector,
-        "replay_chunk_size": args.replay_chunk,
-        "cf_faults_per_trial": args.cf_faults_per_trial,
-        "cfe_detector": args.cfe_detector,
-        "threads": args.threads,
-        "quantum": args.quantum,
-        "max_attempts": args.max_attempts,
-        "step_budget": args.step_budget,
-        "trial_timeout": args.trial_timeout,
-        "engine": args.engine,
         "batch_size": args.batch_size,
+        **_campaign_config(args).to_json(),
     }
-    return spec
 
 
 def cmd_submit(args) -> int:
@@ -648,7 +573,7 @@ def cmd_submit(args) -> int:
     try:
         spec = _spec_from_submit_args(args)
         accepted = client.submit(spec)
-    except ServiceError as exc:
+    except (ServiceError, ValueError) as exc:
         print(f"submit failed: {exc}", file=sys.stderr)
         return 1
     campaign_id = accepted["id"]
@@ -839,10 +764,14 @@ def build_parser() -> argparse.ArgumentParser:
         """The fault-model knobs shared verbatim between the one-shot
         ``inject`` run and a ``submit`` to the campaign server — the
         byte-identical-journal contract requires the two surfaces to
-        accept exactly the same campaign identity."""
+        accept exactly the same campaign identity.  Every dest except
+        ``trials`` is a key of the flat spec JSON
+        (:meth:`CampaignConfig.to_json`), which is how
+        :func:`_campaign_config` reads them."""
         parser.add_argument("--function", default="main")
-        parser.add_argument("--args", nargs="*", default=[])
-        parser.add_argument("--outputs", nargs="*", default=[])
+        parser.add_argument("--args", nargs="*", type=int, default=[])
+        parser.add_argument("--outputs", nargs="*", default=[],
+                            dest="output_objects")
         parser.add_argument("--trials", type=int, default=100)
         parser.add_argument("--dmax", type=int, default=100)
         parser.add_argument("--seed", type=int, default=0)
@@ -850,14 +779,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="transients per execution (default 1, the "
                                  "paper's single-event-upset model)")
         parser.add_argument("--detector", choices=["model", "replay"],
-                            default="model",
+                            default="model", dest="detector_backend",
                             help="detection source: 'model' samples "
                                  "latencies from the analytical "
                                  "DetectionModel, 'replay' measures them "
                                  "with chunked record + replay "
                                  "(default model)")
         parser.add_argument("--replay-chunk", type=int, default=None,
-                            metavar="N",
+                            metavar="N", dest="replay_chunk_size",
                             help="replay chunk length in dynamic "
                                  "instructions (default "
                                  f"{REPLAY_CHUNK_DEFAULT}; --detector "
@@ -867,12 +796,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="double-fault model: faults armed inside "
                                  "recovery windows (default 0)")
         parser.add_argument("--metadata-faults", type=int, default=0,
+                            dest="metadata_faults_per_trial",
                             help="faults per trial striking Encore's own "
                                  "recovery metadata: checkpoint log, "
                                  "register checkpoints, recovery pointer "
                                  "(default 0)")
         parser.add_argument("--guard", choices=["off", "checksum", "dup"],
-                            default="off",
+                            default="off", dest="metadata_guard",
                             help="metadata self-protection level: checksum "
                                  "detects corrupted rollback state, dup "
                                  "also repairs it from a shadow copy "

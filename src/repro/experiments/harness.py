@@ -19,9 +19,9 @@ from repro.encore import EncoreConfig, EncoreReport, compile_for_encore
 from repro.ir.module import Module
 from repro.pipeline import AnalysisCache, PipelineStats
 from repro.runtime import (
+    CampaignConfig,
     CampaignResult,
-    DetectionModel,
-    SupervisorPolicy,
+    campaign_config,
     run_campaign,
 )
 from repro.workloads import WorkloadSpec, all_workloads
@@ -148,29 +148,20 @@ def campaign_server() -> Optional[str]:
     return env or None
 
 
+def _experiment_config(config: Optional[CampaignConfig],
+                       knobs) -> CampaignConfig:
+    """``config`` with ``knobs`` applied and an unset trial timeout
+    resolved through :func:`campaign_trial_timeout`."""
+    config = campaign_config(config, **knobs)
+    if config.trial_timeout is None:
+        config = dataclasses.replace(
+            config, trial_timeout=campaign_trial_timeout()
+        )
+    return config
+
+
 def _run_sfi_via_server(
-    server: str,
-    module: Module,
-    *,
-    function: str,
-    args: Sequence,
-    output_objects: Sequence[str],
-    detector: Optional[DetectionModel],
-    trials: int,
-    seed: int,
-    faults_per_trial: int,
-    recovery_faults_per_trial: int,
-    metadata_faults_per_trial: int,
-    metadata_guard: str,
-    policy: Optional[SupervisorPolicy],
-    trial_timeout: Optional[float],
-    engine: Optional[str],
-    detector_backend: str,
-    replay_chunk_size: Optional[int],
-    cf_faults_per_trial: int,
-    cfe_detector: str,
-    threads: int,
-    quantum: Optional[int],
+    server: str, module: Module, config: CampaignConfig, trials: int,
 ) -> CampaignResult:
     """Submit the campaign over HTTP and rebuild a CampaignResult.
 
@@ -183,33 +174,11 @@ def _run_sfi_via_server(
     from repro.runtime.journal import load_journal
     from repro.service.client import ServiceClient, ServiceError
 
-    detector = detector or DetectionModel()
-    policy = policy or SupervisorPolicy()
     spec = {
         "kind": "sfi",
         "module_text": module_to_text(module) + "\n",
-        "function": function,
-        "args": [int(a) for a in args],
-        "output_objects": list(output_objects),
         "trials": trials,
-        "seed": seed,
-        "dmax": detector.dmax,
-        "detector_kind": detector.kind,
-        "detector_coverage": detector.coverage,
-        "faults_per_trial": faults_per_trial,
-        "recovery_faults_per_trial": recovery_faults_per_trial,
-        "metadata_faults_per_trial": metadata_faults_per_trial,
-        "metadata_guard": metadata_guard,
-        "detector_backend": detector_backend,
-        "replay_chunk_size": replay_chunk_size,
-        "cf_faults_per_trial": cf_faults_per_trial,
-        "cfe_detector": cfe_detector,
-        "threads": threads,
-        "quantum": quantum,
-        "max_attempts": policy.max_attempts,
-        "step_budget": policy.attempt_step_budget,
-        "trial_timeout": trial_timeout,
-        "engine": engine,
+        **config.to_json(),
     }
     client = ServiceClient(server)
     accepted = client.submit(spec)
@@ -249,34 +218,19 @@ def _run_sfi_via_server(
 
 def run_sfi(
     module: Module,
-    function: str = "main",
-    args: Sequence = (),
-    output_objects: Sequence[str] = (),
-    detector: Optional[DetectionModel] = None,
+    config: Optional[CampaignConfig] = None,
+    *,
     trials: int = 200,
-    seed: int = 0,
-    faults_per_trial: int = 1,
-    recovery_faults_per_trial: int = 0,
-    metadata_faults_per_trial: int = 0,
-    metadata_guard: str = "off",
     externals=None,
     jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    policy: Optional[SupervisorPolicy] = None,
-    trial_timeout: Optional[float] = None,
-    engine: Optional[str] = None,
-    detector_backend: str = "model",
-    replay_chunk_size: Optional[int] = None,
-    cf_faults_per_trial: int = 0,
-    cfe_detector: str = "signature",
-    threads: int = 1,
-    quantum: Optional[int] = None,
+    **knobs,
 ) -> CampaignResult:
     """SFI campaign entry point for experiments and benchmarks.
 
     Identical to :func:`repro.runtime.run_campaign` except that
-    ``jobs=None`` resolves through :func:`campaign_jobs` and
-    ``trial_timeout=None`` through :func:`campaign_trial_timeout`, so
+    ``jobs=None`` resolves through :func:`campaign_jobs` and an unset
+    ``trial_timeout`` through :func:`campaign_trial_timeout`, so
     environment variables parallelise and wall-clock-guard every
     campaign an experiment runs.  ``engine=None`` defers to the session
     default (``ENCORE_ENGINE`` or the fast engine).
@@ -288,37 +242,13 @@ def run_sfi(
     ``externals``) and unreachable servers fall back to local execution
     with a warning on stderr.
     """
+    config = _experiment_config(config, knobs)
     server = campaign_server()
     if server is not None and not externals:
         from repro.service.client import ServiceError
 
         try:
-            return _run_sfi_via_server(
-                server,
-                module,
-                function=function,
-                args=args,
-                output_objects=output_objects,
-                detector=detector,
-                trials=trials,
-                seed=seed,
-                faults_per_trial=faults_per_trial,
-                recovery_faults_per_trial=recovery_faults_per_trial,
-                metadata_faults_per_trial=metadata_faults_per_trial,
-                metadata_guard=metadata_guard,
-                policy=policy,
-                trial_timeout=(
-                    campaign_trial_timeout()
-                    if trial_timeout is None else trial_timeout
-                ),
-                engine=engine,
-                detector_backend=detector_backend,
-                replay_chunk_size=replay_chunk_size,
-                cf_faults_per_trial=cf_faults_per_trial,
-                cfe_detector=cfe_detector,
-                threads=threads,
-                quantum=quantum,
-            )
+            return _run_sfi_via_server(server, module, config, trials)
         except ServiceError as exc:
             print(
                 f"# ENCORE_SFI_SERVER={server} unusable ({exc}); "
@@ -332,47 +262,22 @@ def run_sfi(
             file=sys.stderr,
         )
     return run_campaign(
-        module,
-        function=function,
-        args=args,
-        output_objects=output_objects,
-        detector=detector,
-        trials=trials,
-        seed=seed,
-        faults_per_trial=faults_per_trial,
-        recovery_faults_per_trial=recovery_faults_per_trial,
-        metadata_faults_per_trial=metadata_faults_per_trial,
-        metadata_guard=metadata_guard,
-        externals=externals,
+        module, config, trials=trials, externals=externals,
         jobs=campaign_jobs() if jobs is None else jobs,
         chunk_size=chunk_size,
-        policy=policy,
-        trial_timeout=(
-            campaign_trial_timeout() if trial_timeout is None else trial_timeout
-        ),
-        engine=engine,
-        detector_backend=detector_backend,
-        replay_chunk_size=replay_chunk_size,
-        cf_faults_per_trial=cf_faults_per_trial,
-        cfe_detector=cfe_detector,
-        threads=threads,
-        quantum=quantum,
     )
 
 def run_sfi_incremental(
     module: Module,
     store,
-    function: str = "main",
-    args: Sequence = (),
-    output_objects: Sequence[str] = (),
-    detector: Optional[DetectionModel] = None,
+    config: Optional[CampaignConfig] = None,
+    *,
     trials: int = 200,
-    seed: int = 0,
     externals=None,
     jobs: Optional[int] = None,
     min_section_trials: int = 8,
     update_store: bool = True,
-    engine: Optional[str] = None,
+    **knobs,
 ):
     """Incremental SFI campaign entry point for experiments.
 
@@ -393,16 +298,10 @@ def run_sfi_incremental(
     return run_incremental_campaign(
         module,
         store,
-        function=function,
-        args=args,
-        output_objects=output_objects,
-        detector=detector,
+        _experiment_config(config, knobs),
         trials=trials,
-        seed=seed,
         externals=externals,
         jobs=campaign_jobs() if jobs is None else jobs,
-        trial_timeout=campaign_trial_timeout(),
-        engine=engine,
         min_section_trials=min_section_trials,
         update_store=update_store,
     )

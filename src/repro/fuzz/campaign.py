@@ -52,6 +52,7 @@ from repro.fuzz.oracles import (
     run_oracles,
 )
 from repro.fuzz.reduce import ReductionResult, count_instructions, reduce_program
+from repro.runtime.journal import InOrderJournal
 from repro.runtime.parallel import default_chunk_size, _pool_context
 
 JOURNAL_VERSION = 1
@@ -342,27 +343,19 @@ def run_fuzz_campaign(
     done_count = len(results)
     total = len(indices)
 
-    # The hold-back buffer: records enter in completion order but leave
-    # for the journal strictly in index order, so parallel journals are
-    # byte-identical to serial ones.
-    emitted: Dict[int, FuzzRecord] = {}
-    emit_cursor = [0]
+    # Records arrive in completion order but reach the journal in index
+    # order, so parallel journals are byte-identical to serial ones.
+    def append(_index: int, record: FuzzRecord) -> None:
+        if journal is not None:
+            journal.append(record)
 
-    def emit(record: FuzzRecord) -> None:
-        emitted[record.index] = record
-        while emit_cursor[0] < len(pending):
-            expected = pending[emit_cursor[0]]
-            if expected not in emitted:
-                break
-            if journal is not None:
-                journal.append(emitted[expected])
-            emit_cursor[0] += 1
+    ordered = InOrderJournal(append, pending)
 
     if jobs <= 1 or len(pending) <= 1:
         for index in pending:
             record = run_program(settings, index)
             results[index] = record
-            emit(record)
+            ordered.record(index, record)
             done_count += 1
             if progress:
                 progress(done_count, total)
@@ -387,7 +380,7 @@ def run_fuzz_campaign(
                     for index, data in future.result():
                         record = FuzzRecord.from_json(data)
                         results[index] = record
-                        emit(record)
+                        ordered.record(index, record)
                         done_count += 1
                     if progress:
                         progress(done_count, total)

@@ -27,19 +27,18 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.module import Module
-from repro.runtime.detection import DetectionModel
 from repro.runtime.memory import MachineMemory
 from repro.runtime.sfi import (
     COVERED_OUTCOMES,
+    CampaignConfig,
     CampaignResult,
     FaultPlan,
     TrialResult,
-    plan_campaign,
+    campaign_config,
     plan_trial,
     run_campaign,
     run_planned_trial,
 )
-from repro.runtime.supervisor import SupervisorPolicy
 
 from repro.incremental.bitmask import build_sampler, cached_dead_masks
 from repro.incremental.sections import (
@@ -168,16 +167,7 @@ def _require(condition: bool, message: str) -> None:
         raise IncrementalError(message)
 
 
-def validate_incremental_config(
-    faults_per_trial: int = 1,
-    recovery_faults_per_trial: int = 0,
-    metadata_faults_per_trial: int = 0,
-    cf_faults_per_trial: int = 0,
-    metadata_guard: str = "off",
-    detector_backend: str = "model",
-    threads: int = 1,
-    policy: Optional[SupervisorPolicy] = None,
-) -> None:
+def validate_incremental_config(config: CampaignConfig) -> None:
     """Refuse configurations the analytic classifier cannot describe.
 
     Pruning and composition rest on the single-event-upset model with
@@ -187,48 +177,40 @@ def validate_incremental_config(
     (the soundness argument assumes a rollback always completes).
     """
     _require(
-        faults_per_trial == 1,
+        config.faults_per_trial == 1,
         "--incremental requires faults_per_trial == 1 "
         "(single-event-upset model)",
     )
     _require(
-        recovery_faults_per_trial == 0
-        and metadata_faults_per_trial == 0
-        and cf_faults_per_trial == 0,
+        config.recovery_faults_per_trial == 0
+        and config.metadata_faults_per_trial == 0
+        and config.cf_faults_per_trial == 0,
         "--incremental supports only the primary register-fault surface "
         "(no recovery/metadata/control-flow faults)",
     )
     _require(
-        metadata_guard == "off",
+        config.metadata_guard == "off",
         "--incremental requires --guard off",
     )
     _require(
-        detector_backend == "model",
+        config.detector_backend == "model",
         "--incremental requires the modeled detector backend "
         "(replay latencies are measured, not analytic)",
     )
-    _require(threads == 1, "--incremental requires threads == 1")
-    if policy is not None:
-        _require(
-            policy.attempt_step_budget is None,
-            "--incremental requires an unbounded attempt step budget",
-        )
+    _require(config.threads == 1, "--incremental requires threads == 1")
+    _require(
+        config.policy.attempt_step_budget is None,
+        "--incremental requires an unbounded attempt step budget",
+    )
 
 
 def _cached_attribution(
-    module: Module,
-    store: SectionStore,
-    function: str,
-    args: Sequence,
-    output_objects: Sequence[str],
-    externals,
-    threads: int,
-    quantum: Optional[int],
+    module: Module, store: SectionStore, config: CampaignConfig, externals,
 ) -> SectionProfile:
     factory = lambda: capture_attribution(  # noqa: E731
-        module, function=function, args=args,
-        output_objects=output_objects, externals=externals,
-        threads=threads, quantum=quantum,
+        module, function=config.function, args=config.args,
+        output_objects=config.output_objects, externals=externals,
+        threads=config.threads, quantum=config.quantum,
     )
     if externals:
         # External handlers are opaque state; don't memoize across them.
@@ -236,8 +218,8 @@ def _cached_attribution(
     from repro.pipeline import module_fingerprint
 
     key = (
-        module_fingerprint(module), "sfi-attribution", function,
-        tuple(int(a) for a in args), tuple(output_objects),
+        module_fingerprint(module), "sfi-attribution", config.function,
+        tuple(int(a) for a in config.args), config.output_objects,
     )
     return store.cache.get_or_create(key, factory)
 
@@ -271,26 +253,19 @@ def _section_budget(
 def run_incremental_campaign(
     module: Module,
     store: SectionStore,
-    function: str = "main",
-    args: Sequence = (),
-    output_objects: Sequence[str] = (),
-    detector: Optional[DetectionModel] = None,
+    config: Optional[CampaignConfig] = None,
+    *,
     trials: int = 200,
-    seed: int = 0,
     externals=None,
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     progress=None,
-    policy: Optional[SupervisorPolicy] = None,
-    trial_timeout: Optional[float] = None,
     max_pool_retries: int = 2,
     on_result: Optional[Callable[[int, TrialResult], None]] = None,
     on_start: Optional[Callable[[Dict[str, Any]], None]] = None,
-    engine: Optional[str] = None,
     min_section_trials: int = 8,
     update_store: bool = True,
-    threads: int = 1,
-    quantum: Optional[int] = None,
+    **knobs,
 ) -> ComposedCampaign:
     """One incremental campaign against ``store``.
 
@@ -300,16 +275,20 @@ def run_incremental_campaign(
     section fingerprints, re-injects only changed sections under
     bit-level pruning, composes the rest from the store.
 
-    ``on_start`` fires once, after diffing but before any trial
-    executes, with the run's incremental metadata — the CLI uses it to
-    write the journal header.  ``on_result`` streams executed trials
-    (section-attributed) exactly like ``run_campaign``.
+    ``config`` (or keyword ``knobs``) is the campaign's
+    :class:`CampaignConfig`; it must pass
+    :func:`validate_incremental_config`.  ``on_start`` fires once, after
+    diffing but before any trial executes, with the run's incremental
+    metadata — the CLI uses it to write the journal header.
+    ``on_result`` streams executed trials (section-attributed) exactly
+    like ``run_campaign``.
     """
-    detector = detector or DetectionModel()
-    policy = policy or SupervisorPolicy()
-    validate_incremental_config(threads=threads, policy=policy)
+    config = campaign_config(config, **knobs)
+    validate_incremental_config(config)
+    seed, detector = config.seed, config.detector
     identity = campaign_identity(
-        function, args, output_objects, seed, detector, policy.max_attempts
+        config.function, config.args, config.output_objects, seed,
+        detector, config.policy.max_attempts,
     )
     store.validate_campaign(identity)
 
@@ -317,11 +296,8 @@ def run_incremental_campaign(
 
     module_fp = module_fingerprint(module)[:16]
     start = time.monotonic()
-    profile = _cached_attribution(
-        module, store, function, args, output_objects, externals,
-        threads, quantum,
-    )
-    masks = cached_dead_masks(module, store.cache, output_objects)
+    profile = _cached_attribution(module, store, config, externals)
+    masks = cached_dead_masks(module, store.cache, config.output_objects)
     weights = profile.section_weights()
     events_by_section = profile.section_events()
     total_sites = profile.events
@@ -329,14 +305,10 @@ def run_incremental_campaign(
     if not store.loaded or not store.sections:
         return _build_store(
             module, store, profile, identity, module_fp, weights,
-            total_sites, function=function, args=args,
-            output_objects=output_objects, detector=detector,
-            trials=trials, seed=seed, externals=externals, jobs=jobs,
-            chunk_size=chunk_size, progress=progress, policy=policy,
-            trial_timeout=trial_timeout, max_pool_retries=max_pool_retries,
-            on_result=on_result, on_start=on_start, engine=engine,
-            update_store=update_store, threads=threads, quantum=quantum,
-            start=start,
+            total_sites, config, trials=trials, externals=externals,
+            jobs=jobs, chunk_size=chunk_size, progress=progress,
+            max_pool_retries=max_pool_retries, on_result=on_result,
+            on_start=on_start, update_store=update_store, start=start,
         )
 
     # ---- diff ------------------------------------------------------------
@@ -443,13 +415,10 @@ def run_incremental_campaign(
 
         try:
             results, worker_trials, pool_restarts = run_parallel_campaign(
-                module, plans, function=function, args=args,
-                output_objects=output_objects, externals=externals,
-                jobs=jobs, chunk_size=chunk_size, progress=progress,
-                policy=policy, trial_timeout=trial_timeout,
+                module, plans, config, externals=externals, jobs=jobs,
+                chunk_size=chunk_size, progress=progress,
                 max_pool_retries=max_pool_retries, on_result=emit,
-                total=len(plans), engine=engine, threads=threads,
-                quantum=quantum,
+                total=len(plans),
             )
             jobs_used = jobs
         except ParallelUnavailable:
@@ -459,10 +428,8 @@ def run_incremental_campaign(
         done = 0
         for plan in plans:
             trial = run_planned_trial(
-                module, profile.golden, plan, function=function, args=args,
-                output_objects=output_objects, externals=externals,
-                policy=policy, trial_timeout=trial_timeout, engine=engine,
-                memory_image=memory_image, threads=threads, quantum=quantum,
+                module, profile.golden, plan, config,
+                externals=externals, memory_image=memory_image,
             )
             emit(plan.trial_index, trial)
             results.append(trial)
@@ -531,26 +498,17 @@ def _build_store(
     module_fp: str,
     weights: Dict[str, int],
     total_sites: int,
+    config: CampaignConfig,
     *,
-    function: str,
-    args: Sequence,
-    output_objects: Sequence[str],
-    detector: DetectionModel,
     trials: int,
-    seed: int,
     externals,
     jobs: int,
     chunk_size: Optional[int],
     progress,
-    policy: SupervisorPolicy,
-    trial_timeout: Optional[float],
     max_pool_retries: int,
     on_result: Optional[Callable[[int, TrialResult], None]],
     on_start: Optional[Callable[[Dict[str, Any]], None]],
-    engine: Optional[str],
     update_store: bool,
-    threads: int,
-    quantum: Optional[int],
     start: float,
 ) -> ComposedCampaign:
     """First run against an empty store: full campaign + attribution.
@@ -559,7 +517,7 @@ def _build_store(
     later compose over an unchanged module pools them back into exactly
     the distribution this run reports.
     """
-    plans = plan_campaign(seed, trials, profile.events, detector)
+    plans = config.plans(trials, profile.events)
     section_of_index = {
         plan.trial_index: profile.section_of_site(plan.sites[0])
         for plan in plans
@@ -573,12 +531,9 @@ def _build_store(
             on_result(index, trial)
 
     result = run_campaign(
-        module, function=function, args=args,
-        output_objects=output_objects, detector=detector, trials=trials,
-        seed=seed, externals=externals, jobs=jobs, chunk_size=chunk_size,
-        progress=progress, policy=policy, trial_timeout=trial_timeout,
-        max_pool_retries=max_pool_retries, on_result=emit, engine=engine,
-        threads=threads, quantum=quantum,
+        module, config, trials=trials, externals=externals, jobs=jobs,
+        chunk_size=chunk_size, progress=progress,
+        max_pool_retries=max_pool_retries, on_result=emit,
     )
     records: Dict[str, SectionRecord] = {}
     status: Dict[str, str] = {}

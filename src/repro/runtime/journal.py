@@ -15,11 +15,12 @@ The format is deliberately dumb:
 * then:   ``{"kind": "trial", "index": i, "outcome": ..., ...}``
 
 Appends are flushed per record; a line torn by a crash mid-write is
-ignored on load (it will simply be re-run).  Records may appear in any
-order (parallel chunks complete out of order) and may be duplicated
-(a chunk retried after a pool crash); the last record for an index
-wins, which is safe because records for the same index are identical
-by determinism.
+ignored on load (it will simply be re-run).  Every campaign engine
+writes records in trial-index order (:class:`InOrderJournal`), but a
+reader accepts any order — an interrupted or drained parallel campaign
+flushes what it holds out of order — and duplicates (a chunk retried
+after a pool crash); the last record for an index wins, which is safe
+because records for the same index are identical by determinism.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ import dataclasses
 import hashlib
 import json
 import os
-from typing import Any, Dict, Optional, TextIO, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, TextIO, Tuple
 
 from repro.runtime.detection import DetectionModel
-from repro.runtime.sfi import TrialResult
+from repro.runtime.sfi import TrialResult, campaign_config
 
 JOURNAL_VERSION = 1
 
@@ -62,79 +63,15 @@ def campaign_metadata(
     module,
     seed: int,
     detector: DetectionModel,
-    function: str = "main",
-    args=(),
-    faults_per_trial: int = 1,
-    recovery_faults_per_trial: int = 0,
-    metadata_faults_per_trial: int = 0,
-    metadata_guard: str = "off",
-    detector_backend: str = "model",
-    replay_chunk_size: Optional[int] = None,
-    cf_faults_per_trial: int = 0,
-    cfe_detector: str = "signature",
-    threads: int = 1,
-    quantum: Optional[int] = None,
     incremental: Optional[Dict[str, Any]] = None,
+    **knobs,
 ) -> Dict[str, Any]:
-    """The identity of a campaign: everything that determines its plans.
-
-    The metadata-fault keys are only emitted when the feature is in use:
-    a campaign with the default ``metadata_faults_per_trial=0`` /
-    ``metadata_guard="off"`` produces a header byte-identical to the
-    pre-metadata format, so old journals resume unchanged and new
-    plain-campaign journals stay readable by old code.  The detector
-    backend follows the same rule: only a replay campaign emits
-    ``detector_backend``/``replay_chunk_size``, and because
-    :func:`validate_resume` compares the *union* of header keys, a
-    journal written under one backend refuses to resume under the
-    other.  The control-flow surface (``cf_faults_per_trial``,
-    ``cfe_detector``) and the scheduler settings (``threads``,
-    ``quantum``) follow the same conditional-emission rule: a
-    single-threaded, register-fault-only campaign's header is
-    byte-identical to the pre-thread format, and any cross-config
-    resume (different thread count, quantum, CFE count, or detector)
-    is refused loudly.
-    """
-    meta: Dict[str, Any] = {
-        "seed": seed,
-        "function": function,
-        "args": list(args),
-        "faults_per_trial": faults_per_trial,
-        "recovery_faults_per_trial": recovery_faults_per_trial,
-        "detector": {
-            "dmax": detector.dmax,
-            "kind": detector.kind,
-            "coverage": detector.coverage,
-        },
-        "module": module_fingerprint(module),
-    }
-    if metadata_faults_per_trial:
-        meta["metadata_faults_per_trial"] = metadata_faults_per_trial
-    if metadata_guard != "off":
-        meta["metadata_guard"] = metadata_guard
-    if detector_backend != "model":
-        from repro.runtime.replay import REPLAY_CHUNK_DEFAULT
-
-        meta["detector_backend"] = detector_backend
-        meta["replay_chunk_size"] = int(
-            replay_chunk_size or REPLAY_CHUNK_DEFAULT
-        )
-    if cf_faults_per_trial:
-        meta["cf_faults_per_trial"] = cf_faults_per_trial
-        # The detector changes outcomes, not plans, but resumed trials
-        # are replayed verbatim — so it is part of the campaign identity
-        # whenever the surface is open.
-        meta["cfe_detector"] = cfe_detector
-    if threads != 1:
-        meta["threads"] = threads
-    if quantum is not None:
-        meta["quantum"] = int(quantum)
-    if incremental is not None:
-        # Same conditional-emission rule: the key exists only for
-        # incremental campaigns, and validate_resume's union comparison
-        # then refuses to resume one as (or from) a plain campaign.
-        meta["incremental"] = incremental
-    return meta
+    """The journal header of the campaign ``knobs`` name (see
+    :meth:`repro.runtime.sfi.CampaignConfig.header` for its
+    conditional-emission rules)."""
+    return campaign_config(seed=seed, detector=detector, **knobs).header(
+        module, incremental
+    )
 
 
 class CampaignJournal:
@@ -193,57 +130,51 @@ class CampaignJournal:
 
 
 class InOrderJournal:
-    """A hold-back wrapper around :class:`CampaignJournal`.
+    """An order-restoring hold-back buffer in front of a journal sink.
 
-    Parallel and service campaigns complete trials out of order and may
-    deliver duplicates (a batch retried after a worker crash); this
-    wrapper buffers results and appends them strictly in trial-index
-    order, first delivery wins — so the journal a sharded campaign
-    writes is *byte-identical* to the one a serial ``inject`` run
-    writes (the invariant the campaign server's tests enforce).
+    Parallel, served and fuzz campaigns complete work out of order and
+    may deliver duplicates (a batch retried after a worker crash); this
+    buffer holds each ``(index, record)`` until every index before it
+    in ``order`` has been passed on, then hands it to ``sink`` — first
+    delivery wins.  ``order`` is the explicit index sequence the serial
+    run would write: ``range(trials)`` for a fresh campaign, the
+    un-journaled indices of a resumed one.  That makes a sharded
+    campaign's journal *byte-identical* to the serial run's.
 
-    ``flush_out_of_order()`` abandons the in-order guarantee and dumps
-    whatever is buffered beyond the contiguous prefix: the shutdown
-    path uses it so completed work survives a drain — the journal
-    format tolerates out-of-order records, only byte-identity is lost.
+    ``flush_out_of_order()`` abandons the in-order guarantee and passes
+    on whatever is held beyond the contiguous prefix: the interrupt and
+    drain paths use it so completed work survives — the journal format
+    tolerates out-of-order records, only byte-identity is lost.
     """
 
-    def __init__(self, journal: CampaignJournal, start_index: int = 0) -> None:
-        self.journal = journal
-        self._held: Dict[int, TrialResult] = {}
-        self._cursor = start_index
-        self._written: set = set()
-
-    @property
-    def cursor(self) -> int:
-        """The next trial index the in-order stream is waiting for."""
-        return self._cursor
+    def __init__(self, sink: Callable[[int, Any], None],
+                 order: Iterable[int]) -> None:
+        self.sink = sink
+        self._order = iter(order)
+        self._next = next(self._order, None)
+        self._held: Dict[int, Any] = {}
+        self._seen: set = set()
 
     @property
     def held(self) -> int:
-        """Out-of-order results currently buffered."""
+        """Out-of-order records currently buffered."""
         return len(self._held)
 
-    def record(self, index: int, trial: TrialResult) -> None:
-        if index in self._written or index in self._held or index < self._cursor:
+    def record(self, index: int, item: Any) -> None:
+        if index in self._seen:
             return  # duplicate delivery (retried batch): first wins
-        self._held[index] = trial
-        while self._cursor in self._held:
-            self.journal.record(self._cursor, self._held.pop(self._cursor))
-            self._written.add(self._cursor)
-            self._cursor += 1
+        self._seen.add(index)
+        self._held[index] = item
+        while self._next in self._held:
+            self.sink(self._next, self._held.pop(self._next))
+            self._next = next(self._order, None)
 
     def flush_out_of_order(self) -> int:
-        """Append every held record regardless of order (drain path)."""
-        flushed = 0
+        """Pass on every held record regardless of order (drain path)."""
+        flushed = len(self._held)
         for index in sorted(self._held):
-            self.journal.record(index, self._held.pop(index))
-            self._written.add(index)
-            flushed += 1
+            self.sink(index, self._held.pop(index))
         return flushed
-
-    def close(self) -> None:
-        self.journal.close()
 
 
 def load_journal(path: str) -> Tuple[Dict[str, Any], Dict[int, TrialResult]]:

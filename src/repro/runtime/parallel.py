@@ -28,10 +28,12 @@ Resilience (the campaign must outlive its own infrastructure):
   after which the survivors are marked ``infra_error`` — determinism
   is unaffected because retried chunks re-derive exactly the same
   plans;
-* **result streaming** — every merged ``(index, result)`` pair is
-  forwarded to ``on_result`` as it arrives, which is how the campaign
-  journal (:mod:`repro.runtime.journal`) sees trials the moment they
-  complete rather than at campaign end.
+* **result streaming** — merged ``(index, result)`` pairs pass through
+  an order-restoring buffer (:class:`repro.runtime.journal.
+  InOrderJournal`) to ``on_result``, so the campaign journal sees each
+  trial as soon as every earlier one has completed — and its bytes
+  are the serial run's.  An interrupt flushes whatever is held, out
+  of order, so no completed trial is lost.
 """
 
 from __future__ import annotations
@@ -45,14 +47,15 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.module import Module
+from repro.runtime.journal import InOrderJournal
 from repro.runtime.sfi import (
+    CampaignConfig,
     CampaignInterrupted,
     FaultPlan,
     ProgressHook,
     TrialResult,
     infra_error_trial,
 )
-from repro.runtime.supervisor import SupervisorPolicy
 
 
 class ParallelUnavailable(RuntimeError):
@@ -66,22 +69,13 @@ _WORKER: dict = {}
 
 def _init_worker(payload: bytes) -> None:
     from repro.runtime.memory import MachineMemory
-    from repro.runtime.sfi import golden_run
 
     state = pickle.loads(payload)
     # Materialize the module's globals exactly once per worker; every
     # trial in every chunk clones this image instead of rebuilding it.
     state["memory_image"] = MachineMemory.pristine(state["module"])
-    state["golden"] = golden_run(
-        state["module"],
-        state["function"],
-        state["args"],
-        state["output_objects"],
-        externals=state["externals"],
-        engine=state.get("engine"),
-        memory_image=state["memory_image"],
-        threads=state.get("threads", 1),
-        quantum=state.get("quantum"),
+    state["golden"] = state["config"].golden(
+        state["module"], state["externals"], state["memory_image"]
     )
     _WORKER.clear()
     _WORKER.update(state)
@@ -96,27 +90,14 @@ def run_worker_plan(plan: FaultPlan) -> TrialResult:
     :func:`_init_worker` and then replay plans through here, which is
     why a served campaign is bit-identical to a pooled one.
     """
+    # Looked up at call time, so a wrapper installed on
+    # repro.runtime.sfi.run_planned_trial reaches forked workers too.
     from repro.runtime.sfi import run_planned_trial
 
     state = _WORKER
     return run_planned_trial(
-        state["module"],
-        state["golden"],
-        plan,
-        function=state["function"],
-        args=state["args"],
-        output_objects=state["output_objects"],
-        externals=state["externals"],
-        policy=state["policy"],
-        trial_timeout=state["trial_timeout"],
-        metadata_guard=state.get("metadata_guard", "off"),
-        engine=state.get("engine"),
-        memory_image=state["memory_image"],
-        detector_backend=state.get("detector_backend", "model"),
-        replay_chunk_size=state.get("replay_chunk_size"),
-        cfe_detector=state.get("cfe_detector", "signature"),
-        threads=state.get("threads", 1),
-        quantum=state.get("quantum"),
+        state["module"], state["golden"], plan, state["config"],
+        externals=state["externals"], memory_image=state["memory_image"],
     )
 
 
@@ -144,22 +125,8 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-def worker_payload(
-    module: Module,
-    function: str = "main",
-    args: Sequence = (),
-    output_objects: Sequence[str] = (),
-    externals=None,
-    policy: Optional[SupervisorPolicy] = None,
-    trial_timeout: Optional[float] = None,
-    metadata_guard: str = "off",
-    engine: Optional[str] = None,
-    detector_backend: str = "model",
-    replay_chunk_size: Optional[int] = None,
-    cfe_detector: str = "signature",
-    threads: int = 1,
-    quantum: Optional[int] = None,
-) -> bytes:
+def worker_payload(module: Module, config: CampaignConfig,
+                   externals=None) -> bytes:
     """Pickle the per-worker campaign state for :func:`_init_worker`.
 
     Shared between the pool engine below and the campaign service, so
@@ -169,22 +136,7 @@ def worker_payload(
     """
     try:
         return pickle.dumps(
-            {
-                "module": module,
-                "function": function,
-                "args": tuple(args),
-                "output_objects": tuple(output_objects),
-                "externals": externals,
-                "policy": policy,
-                "trial_timeout": trial_timeout,
-                "metadata_guard": metadata_guard,
-                "engine": engine,
-                "detector_backend": detector_backend,
-                "replay_chunk_size": replay_chunk_size,
-                "cfe_detector": cfe_detector,
-                "threads": threads,
-                "quantum": quantum,
-            }
+            {"module": module, "config": config, "externals": externals}
         )
     except Exception as exc:
         raise ParallelUnavailable(str(exc)) from exc
@@ -193,54 +145,31 @@ def worker_payload(
 def run_parallel_campaign(
     module: Module,
     plans: Sequence[FaultPlan],
-    function: str = "main",
-    args: Sequence = (),
-    output_objects: Sequence[str] = (),
+    config: CampaignConfig,
+    *,
     externals=None,
     jobs: int = 2,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
-    policy: Optional[SupervisorPolicy] = None,
-    trial_timeout: Optional[float] = None,
-    metadata_guard: str = "off",
     max_pool_retries: int = 2,
     on_result: Optional[Callable[[int, TrialResult], None]] = None,
     done_offset: int = 0,
     total: Optional[int] = None,
-    engine: Optional[str] = None,
-    detector_backend: str = "model",
-    replay_chunk_size: Optional[int] = None,
-    cfe_detector: str = "signature",
-    threads: int = 1,
-    quantum: Optional[int] = None,
 ) -> Tuple[List[TrialResult], Dict[str, int], int]:
     """Fan ``plans`` out over ``jobs`` worker processes.
 
     Returns ``(results, worker_trials, pool_restarts)``: the trial
     results in ``plans`` order, a per-worker trial tally (keyed
     ``worker-0`` … ``worker-n``, ordered by pid), and the number of
-    worker pools rebuilt after a crash.  ``done_offset``/``total``
-    calibrate the ``progress`` callback when this call covers only the
-    un-journaled tail of a resumed campaign.  Raises
-    :class:`ParallelUnavailable` when the campaign payload cannot be
-    pickled across the process boundary.
+    worker pools rebuilt after a crash.  ``on_result`` sees every
+    result in ``plans`` order, exactly as the serial loop streams it;
+    only an interrupt flushes held results out of order.
+    ``done_offset``/``total`` calibrate the ``progress`` callback when
+    this call covers only the un-journaled tail of a resumed campaign.
+    Raises :class:`ParallelUnavailable` when the campaign payload cannot
+    be pickled across the process boundary.
     """
-    payload = worker_payload(
-        module,
-        function=function,
-        args=args,
-        output_objects=output_objects,
-        externals=externals,
-        policy=policy,
-        trial_timeout=trial_timeout,
-        metadata_guard=metadata_guard,
-        engine=engine,
-        detector_backend=detector_backend,
-        replay_chunk_size=replay_chunk_size,
-        cfe_detector=cfe_detector,
-        threads=threads,
-        quantum=quantum,
-    )
+    payload = worker_payload(module, config, externals)
 
     size = chunk_size if chunk_size and chunk_size > 0 else default_chunk_size(
         len(plans), jobs
@@ -249,19 +178,21 @@ def run_parallel_campaign(
     by_index: Dict[int, TrialResult] = {}
     pid_counts: Dict[int, int] = {}
     pool_restarts = 0
+    ordered = InOrderJournal(
+        on_result or (lambda index, trial: None),
+        [plan.trial_index for plan in plans],
+    )
 
     def merge(pid: int, chunk_results: List[Tuple[int, TrialResult]]) -> None:
         fresh = 0
         for index, trial in chunk_results:
             if index not in by_index:
                 fresh += 1
-                if on_result is not None:
-                    on_result(index, trial)
-            by_index[index] = trial
+                by_index[index] = trial
+                ordered.record(index, trial)
         pid_counts[pid] = pid_counts.get(pid, 0) + len(chunk_results)
         if progress is not None and fresh:
             progress(done_offset + len(by_index), report_total)
-
     remaining = list(plans)
     for attempt in range(max_pool_retries + 1):
         chunks = _chunked(remaining, size)
@@ -286,7 +217,8 @@ def run_parallel_campaign(
                     # Graceful SIGINT: drop the queue, put the workers
                     # down hard (their in-flight chunks are re-derivable
                     # on resume), and surface everything already merged
-                    # — the journal has it on disk via ``on_result``.
+                    # — flushed to ``on_result``, held results out of
+                    # order, so the journal has all of it on disk.
                     for future in pending:
                         future.cancel()
                     for proc in getattr(pool, "_processes", {}).values():
@@ -295,6 +227,7 @@ def run_parallel_campaign(
                         except (OSError, AttributeError):
                             pass
                     pool.shutdown(wait=False, cancel_futures=True)
+                    ordered.flush_out_of_order()
                     raise CampaignInterrupted(
                         dict(by_index), report_total
                     ) from None
@@ -312,12 +245,13 @@ def run_parallel_campaign(
             break
     # Pool retries exhausted (or trials silently lost): the survivors
     # get an explicit infra_error verdict instead of poisoning the
-    # campaign with an exception after hours of completed work.
+    # campaign with an exception after hours of completed work.  They
+    # fill exactly the gaps the buffer is holding back for, so the
+    # journal still comes out in index order.
     for plan in remaining:
         trial = infra_error_trial()
         by_index[plan.trial_index] = trial
-        if on_result is not None:
-            on_result(plan.trial_index, trial)
+        ordered.record(plan.trial_index, trial)
     if progress is not None and remaining:
         progress(done_offset + len(by_index), report_total)
     worker_trials = {

@@ -63,12 +63,12 @@ import hashlib
 import random
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.module import Module
 from repro.runtime.detection import DetectionModel
-from repro.runtime.engine import make_interpreter
-from repro.runtime.guarded_state import METADATA_TARGETS
+from repro.runtime.engine import ENGINES, make_interpreter
+from repro.runtime.guarded_state import GUARD_LEVELS, METADATA_TARGETS
 from repro.runtime.interpreter import (
     ExecResult,
     ExecutionLimit,
@@ -131,6 +131,247 @@ CFE_DETECTORS = ("off", "signature")
 DETECTOR_BACKENDS = ("model", "replay")
 
 ProgressHook = Callable[[int, int], None]
+
+#: The four fault-count knobs, one per fault surface.
+_FAULT_COUNTS = (
+    "faults_per_trial",
+    "recovery_faults_per_trial",
+    "metadata_faults_per_trial",
+    "cf_faults_per_trial",
+)
+
+#: Flat spec-JSON keys of the detector and policy fields.
+_DETECTOR_JSON = (("dmax", "dmax"), ("detector_kind", "kind"),
+                  ("detector_coverage", "coverage"))
+_POLICY_JSON = (("max_attempts", "max_attempts"),
+                ("step_budget", "attempt_step_budget"))
+
+
+def _require_choice(what: str, value, choices) -> None:
+    if value not in choices:
+        raise ValueError(
+            f"unknown {what} {value!r}; expected one of {tuple(choices)}"
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class CampaignConfig:
+    """Every knob that sets a campaign's plans or outcomes, declared once.
+
+    One frozen value is the campaign's API argument (from
+    :func:`run_campaign` down to each pool worker), its journal header
+    (:meth:`header`), and the flat JSON a served campaign spec carries
+    (:meth:`to_json`/:meth:`from_json`).  How much of the campaign runs
+    and where — trial count, jobs, chunking, progress and result hooks,
+    resumed trials, host externals — stays a per-call argument.
+
+    ``faults_per_trial > 1`` leaves the paper's single-event-upset model
+    for the multi-fault extension; ``recovery_faults_per_trial`` plans
+    faults inside recovery windows (the double-fault model),
+    ``metadata_faults_per_trial`` strikes Encore's own recovery metadata
+    (defended at level ``metadata_guard``), and ``cf_faults_per_trial``
+    opens the control-flow surface (armed against by ``cfe_detector``).
+    ``detector_backend="replay"`` measures detection with chunked
+    record + replay (chunk length ``replay_chunk_size``) instead of
+    sampling ``detector``.  ``threads``/``quantum`` configure the
+    cooperative scheduler, ``policy`` bounds the recovery escalation
+    ladder, ``engine`` picks the interpreter and ``trial_timeout``
+    (seconds) is the per-trial wall-clock guard.
+
+    ``None`` for ``detector`` or ``policy`` means the default model.
+    """
+
+    function: str = "main"
+    args: Tuple[int, ...] = ()
+    output_objects: Tuple[str, ...] = ()
+    seed: int = 0
+    detector: DetectionModel = DetectionModel()
+    faults_per_trial: int = 1
+    recovery_faults_per_trial: int = 0
+    metadata_faults_per_trial: int = 0
+    cf_faults_per_trial: int = 0
+    metadata_guard: str = "off"
+    cfe_detector: str = "signature"
+    detector_backend: str = "model"
+    replay_chunk_size: Optional[int] = None
+    threads: int = 1
+    quantum: Optional[int] = None
+    policy: SupervisorPolicy = SupervisorPolicy()
+    engine: Optional[str] = None
+    trial_timeout: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        normalized = {
+            "args": tuple(self.args),
+            "output_objects": tuple(self.output_objects),
+            "detector": self.detector or DetectionModel(),
+            "policy": self.policy or SupervisorPolicy(),
+        }
+        for name, value in normalized.items():
+            object.__setattr__(self, name, value)
+        counts = [getattr(self, name) for name in _FAULT_COUNTS]
+        for name in ("seed", "threads", *_FAULT_COUNTS):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer")
+        if min(counts) < 0:
+            raise ValueError("fault counts must be non-negative")
+        if not any(counts):
+            raise ValueError(
+                "a campaign needs at least one fault per trial: "
+                f"{', '.join(_FAULT_COUNTS)} are all 0"
+            )
+        _require_choice("metadata guard", self.metadata_guard, GUARD_LEVELS)
+        _require_choice("cfe detector", self.cfe_detector, CFE_DETECTORS)
+        _require_choice("detector backend", self.detector_backend,
+                        DETECTOR_BACKENDS)
+        if self.engine is not None:
+            _require_choice("engine", self.engine, ENGINES)
+        if self.replay_chunk_size is not None and self.replay_chunk_size < 1:
+            raise ValueError("replay_chunk_size must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
+        if self.quantum is not None and self.quantum < 1:
+            raise ValueError("quantum must be >= 1")
+        if self.threads > 1 and self.detector_backend == "replay":
+            raise ValueError(
+                "the replay detection backend does not support "
+                "multithreaded scheduling (threads > 1): replayed chunks "
+                "cannot reconstruct scheduler state"
+            )
+        if self.trial_timeout is not None and self.trial_timeout < 0:
+            raise ValueError("trial_timeout must be non-negative")
+
+    # -- the journal header ---------------------------------------------
+
+    def header(self, module: Module,
+               incremental: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """The identity of a campaign: everything that determines its
+        plans, and the outcomes its journaled trials replay verbatim.
+
+        Every key beyond the original format is emitted only when its
+        feature is in use, so a campaign at the defaults writes a header
+        byte-identical to the pre-feature format and old journals resume
+        unchanged.  Because :func:`~repro.runtime.journal.validate_resume`
+        compares the *union* of header keys, a journal written with a
+        feature on refuses to resume with it off, and vice versa:
+
+        * ``metadata_faults_per_trial``/``metadata_guard`` — each when
+          non-default;
+        * ``detector_backend``/``replay_chunk_size`` — a replay campaign
+          (the chunk resolved to its default when unset);
+        * ``cf_faults_per_trial``/``cfe_detector`` — the control-flow
+          surface is open (the detector changes outcomes, not plans);
+        * ``threads`` and ``quantum`` — each when set;
+        * ``max_attempts``/``attempt_step_budget`` — the supervisor
+          policy differs from :class:`SupervisorPolicy`'s defaults;
+        * ``incremental`` — an incremental campaign's run metadata.
+
+        Engine and trial timeout are deliberately absent: engines are
+        bit-identical, and a timeout only turns overruns into
+        ``infra_error``.
+        """
+        from repro.runtime.journal import module_fingerprint
+
+        detector = self.detector
+        meta: Dict[str, Any] = {
+            "seed": self.seed,
+            "function": self.function,
+            "args": list(self.args),
+            "faults_per_trial": self.faults_per_trial,
+            "recovery_faults_per_trial": self.recovery_faults_per_trial,
+            "detector": {
+                "dmax": detector.dmax,
+                "kind": detector.kind,
+                "coverage": detector.coverage,
+            },
+            "module": module_fingerprint(module),
+        }
+        if self.metadata_faults_per_trial:
+            meta["metadata_faults_per_trial"] = self.metadata_faults_per_trial
+        if self.metadata_guard != "off":
+            meta["metadata_guard"] = self.metadata_guard
+        if self.detector_backend != "model":
+            meta["detector_backend"] = self.detector_backend
+            meta["replay_chunk_size"] = int(
+                self.replay_chunk_size or REPLAY_CHUNK_DEFAULT
+            )
+        if self.cf_faults_per_trial:
+            meta["cf_faults_per_trial"] = self.cf_faults_per_trial
+            meta["cfe_detector"] = self.cfe_detector
+        if self.threads != 1:
+            meta["threads"] = self.threads
+        if self.quantum is not None:
+            meta["quantum"] = int(self.quantum)
+        if self.policy != SupervisorPolicy():
+            meta["max_attempts"] = self.policy.max_attempts
+            meta["attempt_step_budget"] = self.policy.attempt_step_budget
+        if incremental is not None:
+            meta["incremental"] = incremental
+        return meta
+
+    # -- the served spec's flat JSON ------------------------------------
+
+    def to_json(self) -> Dict[str, Any]:
+        """The flat JSON ``POST /campaigns`` accepts for these knobs:
+        the detector and policy spread into ``dmax``/``detector_kind``/
+        ``detector_coverage`` and ``max_attempts``/``step_budget``."""
+        data = {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+            if field.name not in ("detector", "policy")
+        }
+        data["args"] = list(self.args)
+        data["output_objects"] = list(self.output_objects)
+        for flat, attr in _DETECTOR_JSON:
+            data[flat] = getattr(self.detector, attr)
+        for flat, attr in _POLICY_JSON:
+            data[flat] = getattr(self.policy, attr)
+        return data
+
+    @classmethod
+    def from_json(cls, data: Dict[str, Any]) -> "CampaignConfig":
+        """Inverse of :meth:`to_json`; absent keys take their defaults.
+        Raises ``ValueError``/``TypeError`` on a bad or unknown key."""
+        knobs = dict(data)
+        detector = {attr: knobs.pop(flat) for flat, attr in _DETECTOR_JSON
+                    if flat in knobs}
+        policy = {attr: knobs.pop(flat) for flat, attr in _POLICY_JSON
+                  if flat in knobs}
+        return cls(detector=DetectionModel(**detector),
+                   policy=SupervisorPolicy(**policy), **knobs)
+
+    # -- the campaign's fixed points ------------------------------------
+
+    def golden(self, module: Module, externals=None,
+               memory_image: Optional[MachineMemory] = None) -> ExecResult:
+        """This campaign's fault-free reference run."""
+        return golden_run(
+            module, self.function, self.args, self.output_objects,
+            externals=externals, engine=self.engine,
+            memory_image=memory_image, threads=self.threads,
+            quantum=self.quantum,
+        )
+
+    def plans(self, trials: int, golden_events: int) -> List["FaultPlan"]:
+        """The first ``trials`` fault plans of this campaign."""
+        return plan_campaign(
+            self.seed, trials, golden_events, self.detector,
+            *(getattr(self, name) for name in _FAULT_COUNTS),
+        )
+
+
+def campaign_config(config: Optional[CampaignConfig] = None,
+                    **knobs) -> CampaignConfig:
+    """The config a call names: ``config`` (default
+    :class:`CampaignConfig`) with keyword ``knobs`` overriding fields.
+
+    The one place keyword-style calls — ``run_campaign(module,
+    seed=3, threads=2)`` — become a config; passing a config alone
+    returns it untouched, so the trial path never re-validates.
+    """
+    if config is None:
+        return CampaignConfig(**knobs)
+    return dataclasses.replace(config, **knobs) if knobs else config
 
 
 class TrialTimeout(Exception):
@@ -401,8 +642,7 @@ class CampaignResult:
     ``elapsed``/``jobs``/``worker_trials`` describe how the campaign
     was executed (wall-clock seconds, worker count, trials per worker);
     they are reporting metadata only — the trial list itself is a pure
-    function of ``(module, seed, trials, detector, faults_per_trial,
-    recovery_faults_per_trial, policy)`` regardless of parallelism.
+    function of ``(module, config, trials)`` regardless of parallelism.
     ``pool_restarts`` counts worker pools rebuilt after a crash; any
     non-zero value (or any ``infra_error`` trial) marks a campaign that
     needed the resilience machinery.
@@ -681,75 +921,58 @@ def run_trial(
     site: int,
     bit: int,
     latency: Optional[int],
-    function: str = "main",
-    args: Sequence = (),
-    output_objects: Sequence[str] = (),
-    max_steps_factor: int = 4,
+    config: Optional[CampaignConfig] = None,
+    *,
     externals=None,
-    policy: Optional[SupervisorPolicy] = None,
+    memory_image: Optional[MachineMemory] = None,
+    max_steps_factor: int = 4,
     recovery_faults: Sequence[Tuple[int, int, Optional[int]]] = (),
     metadata_faults: Sequence[Tuple[int, str, int, int]] = (),
-    metadata_guard: str = "off",
-    engine: Optional[str] = None,
-    memory_image: Optional[MachineMemory] = None,
-    detector_backend: str = "model",
-    replay_chunk_size: Optional[int] = None,
     control_faults: Sequence[Tuple[int, str, int]] = (),
-    cfe_detector: str = "signature",
-    threads: int = 1,
-    quantum: Optional[int] = None,
+    **knobs,
 ) -> TrialResult:
     """Execute one fault-injection trial and classify its outcome.
 
     ``site``/``bit``/``latency`` may be scalars (one fault, the paper's
     model) or equal-length lists for the multi-fault extension.
-    ``policy`` bounds the recovery escalation ladder (default:
-    :class:`SupervisorPolicy`), ``recovery_faults`` are the
-    double-fault model's recovery-window strikes, and
-    ``metadata_faults`` strike Encore's own recovery state —
-    ``metadata_guard`` selects the protection level
-    (:data:`repro.runtime.guarded_state.GUARD_LEVELS`) defending it.
-    ``engine`` picks the interpreter; ``memory_image`` shares a
-    pristine memory snapshot across trials of one campaign.
-
-    ``detector_backend="replay"`` swaps the sampled-latency model for
-    chunked record + replay (:mod:`repro.runtime.replay`): planned
-    latencies are ignored (the fault sites and bits stay identical, so
-    the two backends are head-to-head comparable at the same seed) and
-    detection fires when a chunk's replay digest diverges, with the
-    *measured* latency landing in ``detect_latency``.
-
+    ``recovery_faults`` are the double-fault model's recovery-window
+    strikes, ``metadata_faults`` strike Encore's own recovery state
+    (defended at the config's ``metadata_guard``), and
     ``control_faults`` are planned control-flow strikes as ``(site,
-    kind, selector)`` triples (see :data:`CF_KINDS`); ``cfe_detector``
-    arms the branch-signature monitor against them.  ``threads`` bounds
-    concurrently-live threads (1 = any ``spawn`` traps) and ``quantum``
-    sets the cooperative scheduler's time slice — both must match the
-    golden run's settings or verdicts are meaningless.
+    kind, selector)`` triples (see :data:`CF_KINDS`).  ``config`` (or
+    keyword ``knobs`` naming its fields) supplies everything else; its
+    scheduler settings must match the golden run's or verdicts are
+    meaningless.  ``memory_image`` shares a pristine memory snapshot
+    across trials of one campaign.
+
+    Under ``detector_backend="replay"`` planned latencies are ignored
+    (the fault sites and bits stay identical, so the two backends are
+    head-to-head comparable at the same seed) and detection fires when
+    a chunk's replay digest diverges, with the *measured* latency
+    landing in ``detect_latency``.
     """
-    if detector_backend not in DETECTOR_BACKENDS:
-        raise ValueError(
-            f"unknown detector backend {detector_backend!r}; "
-            f"expected one of {DETECTOR_BACKENDS}"
-        )
+    if config is None or knobs:
+        config = campaign_config(config, **knobs)
     if isinstance(site, int):
         faults = [(site, bit, latency)]
     else:
         faults = list(zip(site, bit, latency))
     recovery_faults = tuple(recovery_faults)
-    if detector_backend == "replay":
+    replay = config.detector_backend == "replay"
+    if replay:
         # Replay detects by divergence, never by deadline: drop every
         # sampled latency but keep the sites/bits draws untouched.
         faults = [(s, b, None) for s, b, _ in faults]
         recovery_faults = tuple((o, b, None) for o, b, _ in recovery_faults)
-    supervisor = RecoverySupervisor(policy, recovery_faults)
+    supervisor = RecoverySupervisor(config.policy, recovery_faults)
     injector = _FaultInjector(faults, supervisor, metadata_faults)
     cf_injector: Optional[_ControlFlowInjector] = None
     recorder: Optional[ChunkRecorder] = None
     pre_step = None
     post_step = injector
     if control_faults:
-        cf_injector = _ControlFlowInjector(control_faults, cfe_detector,
-                                           supervisor)
+        cf_injector = _ControlFlowInjector(control_faults,
+                                           config.cfe_detector, supervisor)
 
         def post_step(interp, event, _inj=injector, _cf=cf_injector):
             # Register/metadata surface first, then the control surface
@@ -758,9 +981,9 @@ def run_trial(
             _inj(interp, event)
             _cf(interp, event)
 
-    if detector_backend == "replay":
+    if replay:
         recorder = ChunkRecorder(
-            replay_chunk_size or REPLAY_CHUNK_DEFAULT,
+            config.replay_chunk_size or REPLAY_CHUNK_DEFAULT,
             detector=ReplayDetector(module, externals=externals),
             supervisor=supervisor,
             injector=injector,
@@ -776,17 +999,18 @@ def run_trial(
 
     max_steps = max(golden.events * max_steps_factor, 10_000)
     interp = make_interpreter(
-        module, engine=engine, max_steps=max_steps, pre_step=pre_step,
-        post_step=post_step, externals=externals,
-        metadata_guard=metadata_guard, memory_image=memory_image,
-        max_threads=threads, quantum=quantum,
+        module, engine=config.engine, max_steps=max_steps,
+        pre_step=pre_step, post_step=post_step, externals=externals,
+        metadata_guard=config.metadata_guard, memory_image=memory_image,
+        max_threads=config.threads, quantum=config.quantum,
     )
     trapped = False
     hang = False
     escalation: Optional[str] = None
     result: Optional[ExecResult] = None
     try:
-        result = interp.run(function, args, output_objects=output_objects)
+        result = interp.run(config.function, config.args,
+                            output_objects=config.output_objects)
     except EscalateTrial as esc:
         escalation = esc.reason
     except Trap:
@@ -804,7 +1028,9 @@ def run_trial(
                 if not supervisor.on_trap(interp, interp.events):
                     break  # no live recovery pointer: restart required
                 try:
-                    result = interp.resume(output_objects=output_objects)
+                    result = interp.resume(
+                        output_objects=config.output_objects
+                    )
                     break
                 except Trap:
                     continue
@@ -946,30 +1172,23 @@ def run_planned_trial(
     module: Module,
     golden: ExecResult,
     plan: FaultPlan,
-    function: str = "main",
-    args: Sequence = (),
-    output_objects: Sequence[str] = (),
-    max_steps_factor: int = 4,
+    config: Optional[CampaignConfig] = None,
+    *,
     externals=None,
-    policy: Optional[SupervisorPolicy] = None,
-    trial_timeout: Optional[float] = None,
-    metadata_guard: str = "off",
-    engine: Optional[str] = None,
     memory_image: Optional[MachineMemory] = None,
-    detector_backend: str = "model",
-    replay_chunk_size: Optional[int] = None,
-    cfe_detector: str = "signature",
-    threads: int = 1,
-    quantum: Optional[int] = None,
+    max_steps_factor: int = 4,
+    **knobs,
 ) -> TrialResult:
     """Execute one trial from a pre-derived :class:`FaultPlan`.
 
     Single-fault plans unpack to the scalar :func:`run_trial` form so
     ``TrialResult.detect_latency`` keeps its historical scalar shape.
-    ``trial_timeout`` (seconds) is the campaign engine's wall-clock
-    guard: an overrunning trial yields ``infra_error`` instead of
-    stalling the whole campaign.
+    The config's ``trial_timeout`` (seconds) is the campaign engine's
+    wall-clock guard: an overrunning trial yields ``infra_error``
+    instead of stalling the whole campaign.
     """
+    if config is None or knobs:
+        config = campaign_config(config, **knobs)
     if plan.single:
         site, bit, latency = plan.sites[0], plan.bits[0], plan.latencies[0]
     else:
@@ -977,74 +1196,40 @@ def run_planned_trial(
 
     def _execute() -> TrialResult:
         return run_trial(
-            module,
-            golden,
-            site,
-            bit,
-            latency,
-            function=function,
-            args=args,
-            output_objects=output_objects,
-            max_steps_factor=max_steps_factor,
+            module, golden, site, bit, latency, config,
             externals=externals,
-            policy=policy,
+            memory_image=memory_image,
+            max_steps_factor=max_steps_factor,
             recovery_faults=plan.recovery_faults,
             metadata_faults=plan.metadata_faults,
-            metadata_guard=metadata_guard,
-            engine=engine,
-            memory_image=memory_image,
-            detector_backend=detector_backend,
-            replay_chunk_size=replay_chunk_size,
             control_faults=plan.control_faults,
-            cfe_detector=cfe_detector,
-            threads=threads,
-            quantum=quantum,
         )
 
     try:
-        return call_with_timeout(_execute, trial_timeout)
+        return call_with_timeout(_execute, config.trial_timeout)
     except TrialTimeout:
         return infra_error_trial()
 
 
 def run_campaign(
     module: Module,
-    function: str = "main",
-    args: Sequence = (),
-    output_objects: Sequence[str] = (),
-    detector: Optional[DetectionModel] = None,
+    config: Optional[CampaignConfig] = None,
+    *,
     trials: int = 200,
-    seed: int = 0,
-    faults_per_trial: int = 1,
-    recovery_faults_per_trial: int = 0,
-    metadata_faults_per_trial: int = 0,
-    cf_faults_per_trial: int = 0,
-    cfe_detector: str = "signature",
-    metadata_guard: str = "off",
-    externals=None,
     jobs: int = 1,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressHook] = None,
-    policy: Optional[SupervisorPolicy] = None,
-    trial_timeout: Optional[float] = None,
-    max_pool_retries: int = 2,
-    completed: Optional[Dict[int, TrialResult]] = None,
     on_result: Optional[Callable[[int, TrialResult], None]] = None,
-    engine: Optional[str] = None,
-    detector_backend: str = "model",
-    replay_chunk_size: Optional[int] = None,
-    threads: int = 1,
-    quantum: Optional[int] = None,
+    completed: Optional[Dict[int, TrialResult]] = None,
+    externals=None,
+    max_pool_retries: int = 2,
+    **knobs,
 ) -> CampaignResult:
     """A full SFI campaign with uniformly-distributed fault sites.
 
-    ``faults_per_trial > 1`` leaves the paper's single-event-upset model
-    for the multi-fault extension study: several independent transients
-    strike one execution, each with its own detection latency.
-    ``recovery_faults_per_trial > 0`` additionally plans faults that
-    strike *inside* recovery windows (the double-fault model), and
-    ``metadata_faults_per_trial > 0`` plans faults that strike Encore's
-    own recovery metadata, defended at level ``metadata_guard``.
+    ``config`` (or keyword ``knobs`` naming its fields, see
+    :class:`CampaignConfig`) fixes what every trial does; the rest of
+    the arguments say how many trials run and where.
 
     Every trial's randomness comes from its own seed-keyed substream
     (:func:`plan_trial`), so ``jobs > 1`` fans trials out across worker
@@ -1056,104 +1241,50 @@ def run_campaign(
     ``externals`` cannot cross a process boundary fall back to the
     serial path silently.
 
-    Resilience: ``trial_timeout`` bounds each trial's wall clock,
-    ``max_pool_retries`` bounds worker-pool rebuilds after a crash
-    (surviving trials then classify ``infra_error``), ``completed``
-    seeds the campaign with journaled results to skip (resume), and
-    ``on_result`` streams each newly-executed ``(index, result)`` pair
-    — the campaign journal's append hook — in completion order.
+    Resilience: the config's ``trial_timeout`` bounds each trial's wall
+    clock, ``max_pool_retries`` bounds worker-pool rebuilds after a
+    crash (surviving trials then classify ``infra_error``),
+    ``completed`` seeds the campaign with journaled results to skip
+    (resume), and ``on_result`` streams each newly-executed ``(index,
+    result)`` pair — the campaign journal's append hook — in trial-index
+    order for any ``jobs``, so a parallel journal is the serial bytes.
 
-    ``engine`` selects the interpreter for the golden run and every
-    trial.  Both engines are bit-identical (the equivalence contract),
-    so campaign results — and journals, which deliberately do not
-    record the engine — are valid across engines: a campaign journaled
-    under one engine can resume under the other.
-
-    ``detector_backend="replay"`` measures detection with chunked
-    record + replay instead of sampling latencies from ``detector``
-    (``replay_chunk_size`` tunes the chunk length); the fault plans
-    stay draw-for-draw identical, so replay campaigns are comparable
-    to model campaigns at the same seed and remain jobs-independent
-    and resumable like any other.
-
-    ``cf_faults_per_trial > 0`` opens the control-flow fault surface
-    (corrupted branch targets, wrong-way branches), its draws appended
-    strictly after every existing draw so all other plans stay
-    bit-identical; ``cfe_detector`` arms the branch-signature monitor.
-    ``threads`` and ``quantum`` configure the cooperative scheduler
-    for multithreaded workloads (``threads=1``, the default, keeps
-    campaigns strictly single-threaded — a ``spawn`` traps).  The
-    replay backend is refused for ``threads > 1``: replayed chunks
-    cannot reconstruct scheduler state, so divergence verdicts would
-    be meaningless.
+    Both engines are bit-identical (the equivalence contract), so
+    campaign results — and journals, which deliberately do not record
+    the engine — are valid across engines: a campaign journaled under
+    one engine can resume under the other.  Replay-backend plans stay
+    draw-for-draw identical to model-backend ones, so the two are
+    comparable at the same seed and remain jobs-independent and
+    resumable like any other.
     """
-    if detector_backend not in DETECTOR_BACKENDS:
-        raise ValueError(
-            f"unknown detector backend {detector_backend!r}; "
-            f"expected one of {DETECTOR_BACKENDS}"
-        )
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if threads > 1 and detector_backend == "replay":
-        raise ValueError(
-            "the replay detection backend does not support multithreaded "
-            "scheduling (threads > 1): replayed chunks cannot reconstruct "
-            "scheduler state"
-        )
-    detector = detector or DetectionModel()
+    config = campaign_config(config, **knobs)
     start = time.monotonic()
     # One pristine memory image per campaign: every golden run and
     # trial clones it instead of re-materializing all globals.
     memory_image = MachineMemory.pristine(module)
-    golden = golden_run(
-        module, function, args, output_objects, externals=externals,
-        engine=engine, memory_image=memory_image, threads=threads,
-        quantum=quantum,
-    )
-    plans = plan_campaign(
-        seed, trials, golden.events, detector,
-        faults_per_trial, recovery_faults_per_trial,
-        metadata_faults_per_trial, cf_faults_per_trial,
-    )
-    completed = dict(completed or {})
+    golden = config.golden(module, externals, memory_image)
+    plans = config.plans(trials, golden.events)
     completed = {
-        index: trial for index, trial in completed.items() if index < trials
+        index: trial for index, trial in (completed or {}).items()
+        if index < trials
     }
     todo = [plan for plan in plans if plan.trial_index not in completed]
     resumed = len(plans) - len(todo)
-    pool_restarts = 0
-
-    def emit(index: int, trial: TrialResult) -> None:
-        if on_result is not None:
-            on_result(index, trial)
 
     if jobs > 1 and len(todo) > 1:
         from repro.runtime.parallel import ParallelUnavailable, run_parallel_campaign
 
         try:
             results, worker_trials, pool_restarts = run_parallel_campaign(
-                module,
-                todo,
-                function=function,
-                args=args,
-                output_objects=output_objects,
+                module, todo, config,
                 externals=externals,
                 jobs=jobs,
                 chunk_size=chunk_size,
                 progress=progress,
-                policy=policy,
-                trial_timeout=trial_timeout,
-                metadata_guard=metadata_guard,
                 max_pool_retries=max_pool_retries,
-                on_result=emit,
+                on_result=on_result,
                 done_offset=resumed,
                 total=trials,
-                engine=engine,
-                detector_backend=detector_backend,
-                replay_chunk_size=replay_chunk_size,
-                cfe_detector=cfe_detector,
-                threads=threads,
-                quantum=quantum,
             )
         except ParallelUnavailable:
             pass
@@ -1187,25 +1318,11 @@ def run_campaign(
                 results.append(completed[plan.trial_index])
             else:
                 trial = run_planned_trial(
-                    module,
-                    golden,
-                    plan,
-                    function=function,
-                    args=args,
-                    output_objects=output_objects,
-                    externals=externals,
-                    policy=policy,
-                    trial_timeout=trial_timeout,
-                    metadata_guard=metadata_guard,
-                    engine=engine,
-                    memory_image=memory_image,
-                    detector_backend=detector_backend,
-                    replay_chunk_size=replay_chunk_size,
-                    cfe_detector=cfe_detector,
-                    threads=threads,
-                    quantum=quantum,
+                    module, golden, plan, config,
+                    externals=externals, memory_image=memory_image,
                 )
-                emit(plan.trial_index, trial)
+                if on_result is not None:
+                    on_result(plan.trial_index, trial)
                 results.append(trial)
                 finished[plan.trial_index] = trial
             done += 1

@@ -42,28 +42,17 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.ir import parse_module, verify_module
-from repro.runtime.detection import DetectionModel
-from repro.runtime.engine import ENGINES
-from repro.runtime.guarded_state import GUARD_LEVELS
-from repro.runtime.journal import (
-    CampaignJournal,
-    InOrderJournal,
-    campaign_metadata,
-)
+from repro.runtime.journal import CampaignJournal, InOrderJournal
 from repro.runtime.memory import MachineMemory
 from repro.runtime.parallel import _pool_context, worker_payload
 from repro.runtime.sfi import (
-    CFE_DETECTORS,
-    DETECTOR_BACKENDS,
     OUTCOMES,
+    CampaignConfig,
     CampaignResult,
     FaultPlan,
     TrialResult,
-    golden_run,
     infra_error_trial,
-    plan_campaign,
 )
-from repro.runtime.supervisor import SupervisorPolicy
 from repro.service.health import (
     BATCH_DONE,
     BATCH_PENDING,
@@ -100,36 +89,18 @@ class SpecError(ValueError):
 class CampaignSpec:
     """A fault-injection campaign as submitted over the API.
 
-    Mirrors the knobs of ``inject`` one for one — the service promises
-    that a spec and the equivalent CLI invocation produce byte-identical
-    journals, so anything that changes plans or outcomes must round-trip
-    through here.  The module travels as textual IR (the printer/parser
+    ``config`` is the same :class:`~repro.runtime.sfi.CampaignConfig`
+    the one-shot ``inject`` run builds — the service promises that a
+    spec and the equivalent CLI invocation produce byte-identical
+    journals.  On the wire the spec is one flat JSON object: the
+    config's keys (:meth:`CampaignConfig.to_json`) next to the fields
+    below.  The module travels as textual IR (the printer/parser
     fixpoint keeps its fingerprint stable across the wire).
     """
 
     module_text: str
-    function: str = "main"
-    args: Tuple[int, ...] = ()
-    output_objects: Tuple[str, ...] = ()
+    config: CampaignConfig = CampaignConfig()
     trials: int = 100
-    seed: int = 0
-    dmax: int = 100
-    detector_kind: str = "uniform"
-    detector_coverage: float = 1.0
-    faults_per_trial: int = 1
-    recovery_faults_per_trial: int = 0
-    metadata_faults_per_trial: int = 0
-    metadata_guard: str = "off"
-    detector_backend: str = "model"
-    replay_chunk_size: Optional[int] = None
-    cf_faults_per_trial: int = 0
-    cfe_detector: str = "signature"
-    threads: int = 1
-    quantum: Optional[int] = None
-    max_attempts: int = 3
-    step_budget: Optional[int] = None
-    trial_timeout: Optional[float] = None
-    engine: Optional[str] = None
     #: Trials per batch (``None``: auto — eight batches per worker).
     batch_size: Optional[int] = None
     #: Journal path on the server (``None``: under the server's
@@ -141,60 +112,32 @@ class CampaignSpec:
             raise SpecError("module_text is empty")
         if self.trials < 0:
             raise SpecError("trials must be non-negative")
-        if self.threads < 1:
-            raise SpecError("threads must be >= 1")
-        if self.detector_backend not in DETECTOR_BACKENDS:
-            raise SpecError(
-                f"unknown detector backend {self.detector_backend!r}"
-            )
-        if self.detector_backend == "replay" and self.threads > 1:
-            raise SpecError(
-                "the replay detection backend does not support "
-                "multithreaded scheduling (threads > 1)"
-            )
-        if self.metadata_guard not in GUARD_LEVELS:
-            raise SpecError(f"unknown metadata guard {self.metadata_guard!r}")
-        if self.cfe_detector not in CFE_DETECTORS:
-            raise SpecError(f"unknown CFE detector {self.cfe_detector!r}")
-        if self.engine is not None and self.engine not in ENGINES:
-            raise SpecError(f"unknown engine {self.engine!r}")
         if self.batch_size is not None and self.batch_size <= 0:
             raise SpecError("batch_size must be positive")
 
-    def detector(self) -> DetectionModel:
-        return DetectionModel(
-            dmax=self.dmax, kind=self.detector_kind,
-            coverage=self.detector_coverage,
-        )
-
-    def policy(self) -> SupervisorPolicy:
-        return SupervisorPolicy(
-            max_attempts=self.max_attempts,
-            attempt_step_budget=self.step_budget,
-        )
-
     def to_json(self) -> Dict[str, Any]:
-        data = dataclasses.asdict(self)
-        data["args"] = list(self.args)
-        data["output_objects"] = list(self.output_objects)
+        data = {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self) if f.name != "config"}
+        data.update(self.config.to_json())
         return data
 
     @classmethod
     def from_json(cls, data: Dict[str, Any]) -> "CampaignSpec":
         if not isinstance(data, dict):
             raise SpecError("campaign spec must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
+        own = {f.name for f in dataclasses.fields(cls)} - {"config"}
+        unknown = sorted(set(data) - own - set(CampaignConfig().to_json()))
         if unknown:
             raise SpecError(f"unknown spec field(s): {', '.join(unknown)}")
         if "module_text" not in data:
             raise SpecError("spec is missing module_text")
-        coerced = dict(data)
-        coerced["args"] = tuple(data.get("args", ()))
-        coerced["output_objects"] = tuple(data.get("output_objects", ()))
         try:
-            return cls(**coerced)
-        except TypeError as exc:
+            config = CampaignConfig.from_json(
+                {k: v for k, v in data.items() if k not in own}
+            )
+            return cls(config=config,
+                       **{k: v for k, v in data.items() if k in own})
+        except (TypeError, ValueError) as exc:
             raise SpecError(str(exc)) from None
 
 
@@ -306,8 +249,8 @@ class CampaignTask:
         self._events: "asyncio.Queue[Tuple]" = asyncio.Queue()
         self._plans: List[FaultPlan] = []
         self._payload: Optional[bytes] = None
-        self._journal: Optional[InOrderJournal] = None
-        self._metadata: Optional[Dict[str, Any]] = None
+        self._journal: Optional[CampaignJournal] = None
+        self._ordered: Optional[InOrderJournal] = None
         self._stop_requested: Optional[str] = None
         self._next_slot = 0
         self._chaos_armed = chaos_kill_after is not None
@@ -414,26 +357,7 @@ class CampaignTask:
 
         # Parse + golden + planning are CPU work: off the event loop.
         module, golden_events = await asyncio.to_thread(self._prepare)
-        detector = spec.detector()
-        self._plans = plan_campaign(
-            spec.seed, spec.trials, golden_events, detector,
-            spec.faults_per_trial, spec.recovery_faults_per_trial,
-            spec.metadata_faults_per_trial, spec.cf_faults_per_trial,
-        )
-        self._metadata = campaign_metadata(
-            module, spec.seed, detector,
-            function=spec.function, args=list(spec.args),
-            faults_per_trial=spec.faults_per_trial,
-            recovery_faults_per_trial=spec.recovery_faults_per_trial,
-            metadata_faults_per_trial=spec.metadata_faults_per_trial,
-            metadata_guard=spec.metadata_guard,
-            detector_backend=spec.detector_backend,
-            replay_chunk_size=spec.replay_chunk_size,
-            cf_faults_per_trial=spec.cf_faults_per_trial,
-            cfe_detector=spec.cfe_detector,
-            threads=spec.threads,
-            quantum=spec.quantum,
-        )
+        self._plans = spec.config.plans(spec.trials, golden_events)
         # Every submission is a fresh campaign: truncate any stale
         # journal at this path (CampaignJournal appends by design, and
         # appending onto an older campaign's records would break the
@@ -441,9 +365,11 @@ class CampaignTask:
         # CLI's job (`inject --resume`).
         if os.path.exists(self.journal_path):
             os.remove(self.journal_path)
-        journal = CampaignJournal(self.journal_path)
-        journal.write_header(self._metadata)
-        self._journal = InOrderJournal(journal)
+        self._journal = CampaignJournal(self.journal_path)
+        self._journal.write_header(spec.config.header(module))
+        self._ordered = InOrderJournal(
+            self._journal.record, range(spec.trials)
+        )
 
         if self._preset_batches is not None:
             self.batches = self._preset_batches
@@ -456,22 +382,7 @@ class CampaignTask:
                 static=self.static_sharding,
             )
 
-        self._payload = worker_payload(
-            module,
-            function=spec.function,
-            args=spec.args,
-            output_objects=spec.output_objects,
-            externals=None,
-            policy=spec.policy(),
-            trial_timeout=spec.trial_timeout,
-            metadata_guard=spec.metadata_guard,
-            engine=spec.engine,
-            detector_backend=spec.detector_backend,
-            replay_chunk_size=spec.replay_chunk_size,
-            cfe_detector=spec.cfe_detector,
-            threads=spec.threads,
-            quantum=spec.quantum,
-        )
+        self._payload = worker_payload(module, spec.config)
 
         pool_size = min(self.workers, max(1, len(self.batches)))
         for _ in range(pool_size):
@@ -504,12 +415,8 @@ class CampaignTask:
     def _prepare(self) -> Tuple[Any, int]:
         module = parse_module(self.spec.module_text)
         verify_module(module)
-        memory_image = MachineMemory.pristine(module)
-        golden = golden_run(
-            module, self.spec.function, self.spec.args,
-            self.spec.output_objects, externals=None,
-            engine=self.spec.engine, memory_image=memory_image,
-            threads=self.spec.threads, quantum=self.spec.quantum,
+        golden = self.spec.config.golden(
+            module, memory_image=MachineMemory.pristine(module)
         )
         return module, golden.events
 
@@ -665,8 +572,8 @@ class CampaignTask:
         self.outcome_counts[trial.outcome] = (
             self.outcome_counts.get(trial.outcome, 0) + 1
         )
-        if self._journal is not None:
-            self._journal.record(index, trial)
+        if self._ordered is not None:
+            self._ordered.record(index, trial)
 
     def _maybe_chaos_kill(self, slot: int) -> None:
         """Self-inflicted fault injection for the service itself: after
@@ -802,9 +709,9 @@ class CampaignTask:
         if self._journal is None:
             return
         if flush_out_of_order:
-            self._journal.flush_out_of_order()
+            self._ordered.flush_out_of_order()
         self._journal.close()
-        self._journal = None
+        self._journal = self._ordered = None
 
 
 class FuzzSpecError(SpecError):

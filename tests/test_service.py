@@ -72,7 +72,7 @@ def _spec(module=None, **overrides):
         dmax=40,
     )
     settings.update(overrides)
-    return CampaignSpec(**settings)
+    return CampaignSpec.from_json(settings)
 
 
 def _reference_journal(path, spec):
@@ -80,16 +80,10 @@ def _reference_journal(path, spec):
     from repro.ir.parser import parse_module
 
     module = parse_module(spec.module_text)
-    detector = spec.detector()
     with CampaignJournal(str(path)) as journal:
-        journal.write_header(campaign_metadata(
-            module, spec.seed, detector,
-            function=spec.function, args=list(spec.args),
-            faults_per_trial=spec.faults_per_trial,
-        ))
+        journal.write_header(spec.config.header(module))
         campaign = run_campaign(
-            module, trials=spec.trials, seed=spec.seed, detector=detector,
-            output_objects=list(spec.output_objects),
+            module, spec.config, trials=spec.trials,
             on_result=journal.record,
         )
     return campaign
@@ -181,14 +175,14 @@ class TestInOrderJournal:
         path = str(tmp_path / "ordered.jsonl")
         journal = CampaignJournal(path)
         journal.write_header(campaign_metadata(_module(), 3, _detector()))
-        return path, InOrderJournal(journal)
+        return path, journal, InOrderJournal(journal.record, range(4))
 
     def test_out_of_order_records_written_in_index_order(self, tmp_path):
-        path, ordered = self._open(tmp_path)
+        path, journal, ordered = self._open(tmp_path)
         trial = infra_error_trial()
         for index in (2, 0, 3, 1):
             ordered.record(index, trial)
-        ordered.close()
+        journal.close()
         _, completed = load_journal(path)
         with open(path) as handle:
             lines = [line for line in handle if '"trial"' in line]
@@ -197,22 +191,22 @@ class TestInOrderJournal:
         assert sorted(completed) == [0, 1, 2, 3]
 
     def test_duplicates_first_delivery_wins(self, tmp_path):
-        path, ordered = self._open(tmp_path)
+        path, journal, ordered = self._open(tmp_path)
         first = infra_error_trial()
         second = dataclasses.replace(first, outcome="sdc")
         ordered.record(0, first)
         ordered.record(0, second)  # retried batch re-delivers: ignored
-        ordered.close()
+        journal.close()
         _, completed = load_journal(path)
         assert completed[0].outcome == first.outcome
 
     def test_flush_out_of_order_preserves_resumability(self, tmp_path):
-        path, ordered = self._open(tmp_path)
+        path, journal, ordered = self._open(tmp_path)
         trial = infra_error_trial()
         ordered.record(2, trial)  # held: index 0 missing
         assert ordered.held == 1
         ordered.flush_out_of_order()
-        ordered.close()
+        journal.close()
         _, completed = load_journal(path)
         assert sorted(completed) == [2]
 
