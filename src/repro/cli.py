@@ -438,12 +438,18 @@ def cmd_fuzz(args) -> int:
     from repro import fuzz
 
     try:
-        oracle_names = tuple(args.oracles.split(","))
+        # Defaults come from the fuzz package, so a new default oracle
+        # runs from the CLI without a second list to update.
+        oracle_names = (tuple(args.oracles.split(",")) if args.oracles
+                        else fuzz.DEFAULT_ORACLES)
+        campaign_every = (fuzz.DEFAULT_CAMPAIGN_EVERY
+                          if args.campaign_every is None
+                          else args.campaign_every)
         settings = fuzz.FuzzSettings(
             seed=args.seed,
             profile=args.profile,
             oracles=oracle_names,
-            campaign_every=args.campaign_every,
+            campaign_every=campaign_every,
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -966,12 +972,10 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--profile", default="default",
                         choices=["default", "small", "threads"],
                         help="generator size profile (default 'default')")
-    fuzz_p.add_argument("--oracles",
-                        default=",".join(
-                            ("semantic", "conservative", "opt",
-                             "rollback", "replay", "campaign", "prune")),
-                        help="comma-separated oracle list (default: all)")
-    fuzz_p.add_argument("--campaign-every", type=int, default=25,
+    fuzz_p.add_argument("--oracles", default=None,
+                        help="comma-separated oracle list (default: the "
+                             "full default suite)")
+    fuzz_p.add_argument("--campaign-every", type=int, default=None,
                         help="run the pool-spawning campaign-equivalence "
                              "oracle on every Nth program (default 25; "
                              "0 disables it)")

@@ -16,7 +16,12 @@ safety argument of the paper end to end:
   recovery triggered with *no* fault injected must reproduce the golden
   output, and planned SFI trials must be replay-deterministic;
 * ``campaign``     — a parallel (``jobs=2``) SFI campaign is
-  bit-identical to the serial one.
+  bit-identical to the serial one;
+* ``prune``        — statically-masked bit flips are invisible end to
+  end;
+* ``fastforward``  — SFI trials on the fast engine, which run hook-free
+  wherever their hooks have no work, equal fully hooked trials on the
+  reference engine across every fault surface.
 
 Failure fingerprints are deliberately coarse — ``oracle:kind`` with the
 offending configuration but never concrete values — so a fingerprint
@@ -50,6 +55,7 @@ from repro.fuzz.generator import EXTERNALS, FuzzProgram
 from repro.ir import VerificationError, verify_module
 from repro.opt import optimize_module
 from repro.runtime import (
+    CampaignConfig,
     DetectionModel,
     Interpreter,
     plan_trial,
@@ -466,6 +472,74 @@ class CampaignEquivalenceOracle(Oracle):
         return []
 
 
+class FastForwardOracle(Oracle):
+    """Fast-forwarded trials must equal fully hooked ones.
+
+    On the fast engine a trial runs decoded and hook-free wherever its
+    hooks have no work; on the reference engine every step is hooked.
+    Per configuration, the same plans on both engines must yield
+    identical :class:`TrialResult` lists.  The configurations cover
+    every fault surface: several register faults, a recovery-window
+    fault with a checksum-guarded metadata fault, and a control-flow
+    fault.
+    """
+
+    name = "fastforward"
+
+    TRIALS = 8
+    CONFIGS = (
+        ("multi-fault", dict(faults_per_trial=2)),
+        ("recovery-metadata", dict(
+            recovery_faults_per_trial=1, metadata_faults_per_trial=1,
+            metadata_guard="checksum",
+        )),
+        ("control-flow", dict(cf_faults_per_trial=1)),
+    )
+
+    def check(self, program: FuzzProgram) -> List[OracleFailure]:
+        try:
+            module = compile_for_encore(
+                program.module,
+                EncoreConfig(auto_tune=False, gamma=0.0,
+                             overhead_budget=10.0),
+                clone=True, function=program.entry, args=program.args,
+                externals=EXTERNALS,
+            ).module
+        except Exception as exc:
+            return [self.fail("crash", f"{type(exc).__name__}: {exc}")]
+        failures: List[OracleFailure] = []
+        for label, knobs in self.CONFIGS:
+            config = CampaignConfig(
+                function=program.entry, args=program.args,
+                output_objects=program.output_objects, seed=program.seed,
+                detector=DetectionModel(dmax=50), threads=program.threads,
+                engine="reference", **knobs,
+            )
+            golden = config.golden(module, EXTERNALS)
+            trials = {
+                engine: [
+                    run_planned_trial(module, golden, plan, config,
+                                      engine=engine, externals=EXTERNALS)
+                    for plan in config.plans(self.TRIALS, golden.events)
+                ]
+                for engine in ("fast", "reference")
+            }
+            diverged = [
+                i for i, (fast, ref) in
+                enumerate(zip(trials["fast"], trials["reference"]))
+                if fast != ref
+            ]
+            if diverged:
+                first = diverged[0]
+                failures.append(self.fail(
+                    f"mismatch:{label}",
+                    f"trials {diverged[:4]} diverged; trial {first}: fast "
+                    f"{trials['fast'][first]} != reference "
+                    f"{trials['reference'][first]}",
+                ))
+        return failures
+
+
 class PruneSoundnessOracle(Oracle):
     """Statically-masked bit flips must be invisible end to end.
 
@@ -593,13 +667,14 @@ ORACLE_REGISTRY = {
     "replay": ReplayDeterminismOracle,
     "campaign": CampaignEquivalenceOracle,
     "prune": PruneSoundnessOracle,
+    "fastforward": FastForwardOracle,
 }
 
 #: The default per-program suite; ``campaign`` is sampled separately by
 #: the driver (it spins up worker pools, so it runs every Nth program).
 DEFAULT_ORACLES = (
     "semantic", "conservative", "opt", "rollback", "replay", "campaign",
-    "prune",
+    "prune", "fastforward",
 )
 
 

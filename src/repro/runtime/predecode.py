@@ -21,7 +21,10 @@ listening.  This module removes all of that by translating each
   or a redirect is pending, :class:`FastInterpreter` delegates to the
   *inherited* reference ``_step``, so hook observable behaviour is the
   reference behaviour by definition.  Hooks may come and go mid-run;
-  the engine re-checks at every block boundary;
+  the engine re-checks at every call, return and slow step.  SFI trials
+  rely on this: they hook only the steps where their injectors or
+  supervisor have work and run every other step on the fast path (see
+  :func:`repro.runtime.sfi.run_trial`);
 * **a decode cache** — decoded programs are memoized per ``Module``
   object (validated by a cheap structural signature) and shared across
   content-equal copies via the pipeline's module fingerprint, so a
@@ -1767,12 +1770,16 @@ def invalidate_decode(module: Module) -> None:
 class FastInterpreter(ReferenceInterpreter):
     """Two-tier engine: pre-decoded fast path, reference slow path.
 
-    Runs decoded closures whenever no hook is installed and no redirect
-    is pending; otherwise executes the *inherited* reference ``_step``,
-    instruction by instruction, re-checking at every step.  Campaign
-    trials (which install ``post_step`` injectors) therefore run on
-    reference code paths by construction, while golden runs, baselines,
-    and plain executions get template dispatch.
+    Runs decoded closures whenever no hook is installed, no redirect
+    is pending and no scheduler is up; otherwise executes the
+    *inherited* reference ``_step``, instruction by instruction,
+    re-checking at every step.  Golden runs, baselines and plain
+    executions get template dispatch throughout.  Campaign trials get
+    it wherever their hooks have no work: ``run_trial`` ends each
+    decoded stretch with a step budget at the next planned event, runs
+    the steps around a strike, detection or rollback hooked on
+    reference code paths, and removes its hook again when it has no
+    work on the next step.
 
     The same single-run contract as :class:`ReferenceInterpreter`
     applies; see its docstring for what may be shared across runs.
@@ -1804,7 +1811,9 @@ class FastInterpreter(ReferenceInterpreter):
         self._program: Optional[DecodedProgram] = None
         # Set by the first spawn/join the decoded code reaches: from
         # then on every step takes the reference tier, so scheduler
-        # behaviour is reference behaviour by construction.
+        # behaviour is reference behaviour by construction.  A spawn
+        # the reference tier executed (under a hook) parks the engine
+        # the same way, through the scheduler it brought up.
         self._force_slow = False
         # Incremental peak_ckpt_words bookkeeping: (frame id, region id)
         # -> words currently logged.  Invalidated whenever a slow-path
@@ -1825,6 +1834,7 @@ class FastInterpreter(ReferenceInterpreter):
                     or self.post_step is not None
                     or self._pending_redirect is not None
                     or self._force_slow
+                    or self.scheduler is not None
                 ):
                     self._ckpt_words_ok = False
                     self._step()

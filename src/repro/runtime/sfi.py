@@ -78,6 +78,7 @@ from repro.runtime.interpreter import (
     bitflip,
 )
 from repro.runtime.memory import MachineMemory
+from repro.runtime.predecode import FastInterpreter
 from repro.runtime.replay import (
     REPLAY_CHUNK_DEFAULT,
     ChunkRecorder,
@@ -777,6 +778,17 @@ class _FaultInjector:
         """
         return self.injected[0][2] if self.injected else None
 
+    @property
+    def wake(self) -> Optional[int]:
+        """The first event index at which this hook has work of its own:
+        the earliest pending fault site or detector deadline (None once
+        every fault struck and every deadline fired).  Before it, a
+        step only forwards to the supervisor."""
+        due = [queue[0][0] for queue in (self.pending, self.meta_pending)
+               if queue]
+        due.extend(self.deadlines[:1])
+        return min(due) if due else None
+
     def __call__(self, interp: Interpreter, event: StepEvent) -> None:
         while self.meta_pending and event.index >= self.meta_pending[0][0]:
             # Metadata faults strike storage, not a destination
@@ -851,6 +863,14 @@ class _ControlFlowInjector:
         self.detections = 0
         self.wild = False
 
+    @property
+    def wake(self) -> Optional[int]:
+        """The earliest pending strike site (None once every fault
+        struck).  The signature monitor needs no other steps: only a
+        strike realizes an illegal edge, and the strike and its check
+        share one step."""
+        return self.pending[0][0] if self.pending else None
+
     def __call__(self, interp: Interpreter, event: StepEvent) -> None:
         inst = event.inst
         if inst.opcode not in ("br", "jmp"):
@@ -915,6 +935,14 @@ def golden_run(
     return interp.run(function, args, output_objects=output_objects)
 
 
+def _next_stop(parts) -> Optional[int]:
+    """The first event index at which any of a trial's hooks has work
+    (None: none until a trap starts a rollback)."""
+    wakes = [wake for wake in (part.wake for part in parts)
+             if wake is not None]
+    return min(wakes) if wakes else None
+
+
 def run_trial(
     module: Module,
     golden: ExecResult,
@@ -950,6 +978,14 @@ def run_trial(
     head-to-head comparable at the same seed) and detection fires when
     a chunk's replay digest diverges, with the *measured* latency
     landing in ``detect_latency``.
+
+    On the fast engine a trial runs decoded and hook-free except where
+    its hooks have work: from each planned fault site until the fault
+    strikes, at each detector deadline, and while a rollback is
+    uncommitted.  Each hook-free stretch ends on a step budget at the
+    next such event, and a trap that starts a rollback re-installs the
+    hooks.  The result equals fully hooked execution, which the
+    reference engine and the replay backend always use.
     """
     if config is None or knobs:
         config = campaign_config(config, **knobs)
@@ -1004,13 +1040,64 @@ def run_trial(
         metadata_guard=config.metadata_guard, memory_image=memory_image,
         max_threads=config.threads, quantum=config.quantum,
     )
+    # Fast-forward (see "Trial phases" in docs/sfi_campaigns.md): on the
+    # fast engine every step before the hooks' next work runs decoded
+    # and hook-free, under a step budget that stops at that work.  The
+    # reference engine stays fully hooked as the specification, and
+    # replay digests every step.
+    if recorder is None and isinstance(interp, FastInterpreter):
+        parts = [injector, supervisor]
+        if cf_injector is not None:
+            parts.append(cf_injector)
+
+        def sleep(after: int) -> None:
+            """Drop the hooks until the parts' next work, unless that is
+            the step after ``after``."""
+            stop = _next_stop(parts)
+            if stop is None or stop > after + 1:
+                interp.post_step = None
+                interp.max_steps = (max_steps if stop is None
+                                    else min(stop, max_steps))
+
+        def post_step(interp, event, _hook=post_step):
+            _hook(interp, event)
+            sleep(event.index)
+
+        interp.post_step = post_step
+        sleep(-1)
     trapped = False
     hang = False
     escalation: Optional[str] = None
     result: Optional[ExecResult] = None
+
+    def resume() -> ExecResult:
+        return interp.resume(output_objects=config.output_objects)
+
+    def drive(start: Callable[[], ExecResult]) -> ExecResult:
+        """Run to completion through the trial's planned stops.
+
+        A step budget below ``max_steps`` ends a hook-free stretch at
+        the next event with work.  The fast engine stops there with
+        exact counters and a resumable ``frame.ip``, even between the
+        halves of a fused pair, so re-installing the hook and resuming
+        shows that event to the hook exactly as a run hooked throughout
+        would.  Only the real budget (a hang) propagates.
+        """
+        while True:
+            try:
+                return start()
+            except ExecutionLimit:
+                if interp.max_steps >= max_steps:
+                    raise
+            interp.max_steps = max_steps
+            interp.post_step = post_step
+            start = resume
+
     try:
-        result = interp.run(config.function, config.args,
-                            output_objects=config.output_objects)
+        result = drive(lambda: interp.run(
+            config.function, config.args,
+            output_objects=config.output_objects,
+        ))
     except EscalateTrial as esc:
         escalation = esc.reason
     except Trap:
@@ -1027,10 +1114,11 @@ def run_trial(
                     recorder.resync()
                 if not supervisor.on_trap(interp, interp.events):
                     break  # no live recovery pointer: restart required
+                # A rollback re-opens the window: the watchdog, livelock
+                # streaks and recovery-window faults see every step.
+                interp.post_step = post_step
                 try:
-                    result = interp.resume(
-                        output_objects=config.output_objects
-                    )
+                    result = drive(resume)
                     break
                 except Trap:
                     continue

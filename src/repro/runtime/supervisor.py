@@ -97,6 +97,8 @@ class RecoverySupervisor:
     can observe committed progress, run the watchdog, and inject the
     planned recovery-window faults.  The trap path of ``run_trial``
     calls :meth:`on_trap` instead of redirecting control itself.
+    ``on_step`` is a no-op on every step before :attr:`wake`, which is
+    what lets a trial run those steps decoded, without hooks.
     """
 
     def __init__(
@@ -120,6 +122,18 @@ class RecoverySupervisor:
         # plus the event index it happened at (for the watchdog).
         self._active: Optional[Tuple[int, int]] = None
         self._active_since = 0
+
+    @property
+    def wake(self) -> Optional[int]:
+        """The first event index at which :meth:`on_step` has work:
+        every step (0) while a rollback is uncommitted, else the
+        earliest armed recovery fault or detector deadline.  None means
+        no work until a new rollback, which the trap path starts via
+        :meth:`on_trap`."""
+        if self._active is not None:
+            return 0
+        due = [fault[0] for fault in self._armed] + self._deadlines
+        return min(due) if due else None
 
     # ------------------------------------------------------------------
     # progress observation, watchdog, recovery-window injection

@@ -353,6 +353,18 @@ class TestFuzz:
                      "--oracles", "opt"]) == 0
         assert "all oracles passed" in capsys.readouterr().out
 
+    def test_default_oracles_come_from_the_fuzz_package(self, tmp_path,
+                                                        capsys):
+        from repro.fuzz import DEFAULT_ORACLES, load_fuzz_journal
+
+        journal = tmp_path / "fuzz.jsonl"
+        assert main(["fuzz", "--profile", "small", "--seed", "7",
+                     "--budget", "1", "--journal", str(journal)]) == 0
+        capsys.readouterr()
+        header, _ = load_fuzz_journal(journal)
+        assert header["oracles"] == list(DEFAULT_ORACLES)
+        assert "fastforward" in header["oracles"]
+
     def test_bad_oracle_list_is_usage_error(self, capsys):
         assert main(["fuzz", "--oracles", "bogus", "--budget", "1"]) == 2
         assert "unknown oracle" in capsys.readouterr().err

@@ -207,6 +207,44 @@ class TestOracles:
         (oracle,) = make_oracles(["replay"])
         assert oracle.name == "replay"
 
+    def test_fastforward_oracle_in_registry_and_defaults(self):
+        from repro.fuzz.oracles import DEFAULT_ORACLES, ORACLE_REGISTRY
+
+        assert "fastforward" in ORACLE_REGISTRY
+        assert "fastforward" in DEFAULT_ORACLES
+        (oracle,) = make_oracles(["fastforward"])
+        assert oracle.name == "fastforward"
+        assert oracle.TRIALS <= 8
+
+    def test_fastforward_oracle_clean(self):
+        oracles = make_oracles(["fastforward"])
+        for seed in range(6):
+            program = generate_program(seed, SMALL)
+            assert run_oracles(program, oracles) == [], seed
+        for seed in (3, 4):
+            program = generate_program(seed, PROFILES["threads"])
+            assert run_oracles(program, oracles) == [], seed
+
+    def test_fastforward_oracle_catches_a_late_stop(self, monkeypatch):
+        """A hook-free stretch that overruns the next planned event by
+        one step skips the event a fault was planned at; the oracle must
+        see the fast engine diverge from the fully hooked reference."""
+        from repro.runtime import sfi
+
+        exact = sfi._next_stop
+
+        def late(parts):
+            first = exact(parts)
+            return None if first is None else first + 1
+
+        monkeypatch.setattr(sfi, "_next_stop", late)
+        oracles = make_oracles(["fastforward"])
+        found = []
+        for seed in range(6):
+            failures = run_oracles(generate_program(seed, SMALL), oracles)
+            found.extend(f.kind for f in failures)
+        assert any(kind.startswith("mismatch:") for kind in found), found
+
     def test_replay_oracle_fingerprint_reduction_stable(self):
         # Coarse kinds survive delta-debugging: the same oracle+kind
         # fingerprints identically regardless of the detail text.
