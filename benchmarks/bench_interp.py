@@ -5,14 +5,15 @@ Runs three workloads through both interpreter engines on three legs —
 pipeline's output), and **under-SFI** (a seeded fault-injection
 campaign) — asserting bit-identical results everywhere and reporting
 steps/sec plus the fast-over-reference speedup.  On the SFI leg the
-fast engine fast-forwards each trial: it runs decoded and hook-free
-except on the steps where the injectors or the recovery supervisor
-have work.  The reference engine runs every trial fully hooked, so the
-leg's equality check compares fast-forwarded trials against true
-full-hook execution.  ``--check`` enforces the acceptance bar: every
-leg bit-identical, geometric-mean speedup >= 5x on the instrumented
-legs, and geometric-mean campaign speedup (trials/sec) >= 3x on the
-under-SFI legs.
+fast engine fast-forwards each trial: it starts from the golden run's
+snapshot nearest before the trial's first planned event and runs
+decoded and hook-free except on the steps where the injectors or the
+recovery supervisor have work.  The reference engine runs every trial
+fully hooked from event 0, so the leg's equality check compares
+fast-forwarded trials against true full-hook execution.  ``--check``
+enforces the acceptance bar: every leg bit-identical, geometric-mean
+speedup >= 5x on the instrumented legs, and geometric-mean campaign
+speedup (trials/sec) >= SFI_GATE on the under-SFI legs.
 
 Usage::
 
@@ -43,6 +44,11 @@ from repro.runtime import (  # noqa: E402
 from repro.workloads import build_workload  # noqa: E402
 
 DEFAULT_WORKLOADS = ("164.gzip", "183.equake", "cjpeg")
+
+#: ``--check``'s bound on the under-SFI geomean speedup, set below the
+#: lowest of three measured runs with golden-prefix snapshots on a
+#: shared 2-vCPU host (8.37x, 6.84x, 7.76x; 4.70x-5.08x before them).
+SFI_GATE = 5.0
 ENGINES = ("fast", "reference")
 
 
@@ -140,7 +146,7 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="fail unless every leg is bit-identical, "
                              "geomean instrumented speedup >= 5x and "
-                             "geomean under-sfi speedup >= 3x")
+                             f"geomean under-sfi speedup >= {SFI_GATE:g}x")
     args = parser.parse_args(argv)
 
     reports = [
@@ -195,13 +201,13 @@ def main(argv=None) -> int:
             print(f"FAIL: instrumented geomean {geomean:.2f}x < 5x",
                   file=sys.stderr)
             return 1
-        if sfi_geomean < 3.0:
-            print(f"FAIL: under-sfi geomean {sfi_geomean:.2f}x < 3x",
-                  file=sys.stderr)
+        if sfi_geomean < SFI_GATE:
+            print(f"FAIL: under-sfi geomean {sfi_geomean:.2f}x < "
+                  f"{SFI_GATE:g}x", file=sys.stderr)
             return 1
         print(f"CHECK PASSED: bit-identical everywhere, "
               f"{geomean:.2f}x >= 5x on instrumented legs, "
-              f"{sfi_geomean:.2f}x >= 3x on under-sfi legs")
+              f"{sfi_geomean:.2f}x >= {SFI_GATE:g}x on under-sfi legs")
     return 0
 
 

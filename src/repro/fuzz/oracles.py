@@ -19,9 +19,10 @@ safety argument of the paper end to end:
   bit-identical to the serial one;
 * ``prune``        — statically-masked bit flips are invisible end to
   end;
-* ``fastforward``  — SFI trials on the fast engine, which run hook-free
-  wherever their hooks have no work, equal fully hooked trials on the
-  reference engine across every fault surface.
+* ``fastforward``  — SFI trials on the fast engine, which resume from
+  golden-run snapshots and run hook-free wherever their hooks have no
+  work, equal fully hooked trials from event 0 on the reference engine
+  across every fault surface.
 
 Failure fingerprints are deliberately coarse — ``oracle:kind`` with the
 offending configuration but never concrete values — so a fingerprint
@@ -475,13 +476,16 @@ class CampaignEquivalenceOracle(Oracle):
 class FastForwardOracle(Oracle):
     """Fast-forwarded trials must equal fully hooked ones.
 
-    On the fast engine a trial runs decoded and hook-free wherever its
-    hooks have no work; on the reference engine every step is hooked.
-    Per configuration, the same plans on both engines must yield
-    identical :class:`TrialResult` lists.  The configurations cover
-    every fault surface: several register faults, a recovery-window
-    fault with a checksum-guarded metadata fault, and a control-flow
-    fault.
+    On the fast engine a trial starts from the golden run's snapshot
+    nearest before its first planned event and runs decoded and
+    hook-free wherever its hooks have no work; on the reference engine
+    it runs from event 0 with every step hooked.  Per configuration,
+    each engine takes its own campaign golden (the fast one carries the
+    snapshots), the two goldens must agree, and the same plans on both
+    engines must yield identical :class:`TrialResult` lists.  The
+    configurations cover every fault surface: several register faults,
+    a recovery-window fault with a checksum-guarded metadata fault, and
+    a control-flow fault.
     """
 
     name = "fastforward"
@@ -509,21 +513,27 @@ class FastForwardOracle(Oracle):
             return [self.fail("crash", f"{type(exc).__name__}: {exc}")]
         failures: List[OracleFailure] = []
         for label, knobs in self.CONFIGS:
-            config = CampaignConfig(
-                function=program.entry, args=program.args,
-                output_objects=program.output_objects, seed=program.seed,
-                detector=DetectionModel(dmax=50), threads=program.threads,
-                engine="reference", **knobs,
-            )
-            golden = config.golden(module, EXTERNALS)
-            trials = {
-                engine: [
+            goldens, trials = {}, {}
+            for engine in ("fast", "reference"):
+                config = CampaignConfig(
+                    function=program.entry, args=program.args,
+                    output_objects=program.output_objects,
+                    seed=program.seed, detector=DetectionModel(dmax=50),
+                    threads=program.threads, engine=engine, **knobs,
+                )
+                golden = goldens[engine] = config.golden(module, EXTERNALS)
+                trials[engine] = [
                     run_planned_trial(module, golden, plan, config,
-                                      engine=engine, externals=EXTERNALS)
+                                      externals=EXTERNALS)
                     for plan in config.plans(self.TRIALS, golden.events)
                 ]
-                for engine in ("fast", "reference")
-            }
+            if goldens["fast"] != goldens["reference"]:
+                failures.append(self.fail(
+                    f"mismatch:{label}",
+                    f"golden runs differ: fast {goldens['fast']} != "
+                    f"reference {goldens['reference']}",
+                ))
+                continue
             diverged = [
                 i for i, (fast, ref) in
                 enumerate(zip(trials["fast"], trials["reference"]))

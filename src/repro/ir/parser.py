@@ -78,6 +78,7 @@ class _FunctionParser:
         self.stack_objects: Dict[str, MemoryObject] = {}
         # (label, [raw instruction lines with line numbers])
         self.blocks: List[Tuple[str, List[Tuple[int, str]]]] = []
+        self.labels: Set[str] = set()
 
     # -- pass 1: structure + pointer inference -------------------------------
 
@@ -268,21 +269,33 @@ def parse_module(text: str) -> Module:
             elif not init_text.strip():
                 init = []
             else:
-                init = [
-                    _parse_number(tok.strip())
-                    for tok in init_text.split(",")
-                ]
+                try:
+                    init = [
+                        _parse_number(tok.strip())
+                        for tok in init_text.split(",")
+                    ]
+                except ValueError:
+                    raise ParseError("bad initializer", line_no, raw) from None
             if kind == "global":
+                if name in module.globals:
+                    raise ParseError(f"duplicate global @{name}", line_no, raw)
                 module.add_global(name, int(size), init=init)
             else:
                 if current is None:
                     raise ParseError("stack object outside function", line_no, raw)
+                if name in current.stack_objects:
+                    raise ParseError(
+                        f"duplicate stack object @{name} in {current.name}",
+                        line_no, raw,
+                    )
                 obj = MemoryObject(name, int(size), kind="stack", init=init)
                 current.stack_objects[name] = obj
             continue
         func_match = _FUNC_RE.match(line)
         if func_match:
             name, params_text = func_match.groups()
+            if any(parser.name == name for parser in parsers):
+                raise ParseError(f"duplicate function {name}", line_no, raw)
             params = [
                 p.strip()[1:] for p in params_text.split(",") if p.strip()
             ]
@@ -296,7 +309,14 @@ def parse_module(text: str) -> Module:
         if label_match:
             if current is None:
                 raise ParseError("label outside function", line_no, raw)
-            current.blocks.append((label_match.group(1), []))
+            label = label_match.group(1)
+            if label in current.labels:
+                raise ParseError(
+                    f"duplicate block label {label} in {current.name}",
+                    line_no, raw,
+                )
+            current.labels.add(label)
+            current.blocks.append((label, []))
             continue
         if current is None or not current.blocks:
             raise ParseError("instruction outside a block", line_no, raw)
@@ -317,5 +337,11 @@ def parse_module(text: str) -> Module:
         for label, body in parser.blocks:
             block = func.blocks[label]
             for line_no, line in body:
-                block.instructions.append(parser.parse_instruction(line_no, line))
+                try:
+                    inst = parser.parse_instruction(line_no, line)
+                except ValueError as exc:
+                    # Malformed operands of the Encore opcodes (``%r``
+                    # region ids, operand counts) surface as ValueError.
+                    raise ParseError(str(exc), line_no, line) from None
+                block.instructions.append(inst)
     return module

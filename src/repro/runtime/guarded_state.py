@@ -127,6 +127,22 @@ class RecoveryStateGuard:
         #: Corrupted primaries repaired from their shadow copy.
         self.repairs = 0
 
+    def copy(self) -> "RecoveryStateGuard":
+        """An independent copy: tables, taint and counters (interpreter
+        snapshots carry one)."""
+        twin = RecoveryStateGuard(self.level)
+        twin._entry_sums = {k: list(v) for k, v in self._entry_sums.items()}
+        twin._entry_dups = {k: list(v) for k, v in self._entry_dups.items()}
+        twin._ptr_sums = dict(self._ptr_sums)
+        twin._ptr_dups = dict(self._ptr_dups)
+        twin._tainted_entries = set(self._tainted_entries)
+        twin._tainted_ptrs = set(self._tainted_ptrs)
+        twin.metadata_faults = self.metadata_faults
+        twin.tainted_consumed = self.tainted_consumed
+        twin.detections = self.detections
+        twin.repairs = self.repairs
+        return twin
+
     # ------------------------------------------------------------------
     # interpreter hooks (seal on write, verify on rollback)
     # ------------------------------------------------------------------

@@ -76,7 +76,13 @@ class StepEvent:
 
 @dataclasses.dataclass
 class ExecResult:
-    """Outcome of a completed (non-trapping) execution."""
+    """Outcome of a completed (non-trapping) execution.
+
+    ``snapshots`` are states of the run captured on the way (see
+    :class:`Snapshot`); a campaign's golden run carries them so trials
+    can resume from the nearest one.  They are not part of the result's
+    identity: equality ignores them.
+    """
 
     value: Optional[Word]
     events: int
@@ -84,6 +90,9 @@ class ExecResult:
     app_cost: int
     instrumentation_cost: int
     output: Dict[str, List[Word]]
+    snapshots: Tuple["Snapshot", ...] = dataclasses.field(
+        default=(), compare=False, repr=False,
+    )
 
     @property
     def overhead(self) -> float:
@@ -120,6 +129,99 @@ class _Frame:
         self.recovery_ptr: Optional[Tuple[int, str]] = None
 
 
+@dataclasses.dataclass(frozen=True)
+class FrameImage:
+    """Restorable copy of one activation frame."""
+
+    id: int
+    func: str
+    regs: Dict
+    block: str
+    ip: int
+    stack_instances: Dict[str, str]
+    ret_dest: Optional[VirtualRegister]
+    region_ckpts: Dict[int, Tuple[tuple, ...]]
+    recovery_ptr: Optional[Tuple[int, str]]
+
+    @classmethod
+    def of(cls, frame: _Frame) -> "FrameImage":
+        return cls(
+            id=frame.id,
+            func=frame.func.name,
+            regs=dict(frame.regs),
+            block=frame.block,
+            ip=frame.ip,
+            stack_instances=dict(frame.stack_instances),
+            ret_dest=frame.ret_dest,
+            region_ckpts={
+                rid: tuple(records)
+                for rid, records in frame.region_ckpts.items()
+            },
+            recovery_ptr=frame.recovery_ptr,
+        )
+
+    def frame(self, module: Module) -> _Frame:
+        """A live frame equal to the imaged one (shares nothing mutable)."""
+        frame = _Frame(self.id, module.function(self.func))
+        frame.regs = dict(self.regs)
+        frame.block = self.block
+        frame.ip = self.ip
+        frame.stack_instances = dict(self.stack_instances)
+        frame.ret_dest = self.ret_dest
+        frame.region_ckpts = {
+            rid: list(records) for rid, records in self.region_ckpts.items()
+        }
+        frame.recovery_ptr = self.recovery_ptr
+        return frame
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Snapshot:
+    """The complete single-thread state of a run between two steps.
+
+    Captured by :func:`take_snapshot` on either engine; an interpreter
+    built with ``snapshot=`` starts from it and ``resume()`` continues
+    the run exactly as the captured one continued.  It holds the frame
+    stack (register files, positions, undo logs, recovery pointers),
+    a memory clone (cells, sizes and the heap counter, so allocation
+    names repeat), the event and cost counters, the frame-id counter,
+    ``peak_ckpt_words`` and a copy of the metadata guard (seals,
+    shadows, taint and counters).  Scheduler state is not captured:
+    a snapshot of a multithreaded run holds only the bound thread.
+
+    Immutable by contract: restoring copies every mutable part, so one
+    snapshot may seed any number of runs.
+    """
+
+    events: int
+    cost: int
+    instrumentation_cost: int
+    frame_counter: int
+    frames: Tuple[FrameImage, ...]
+    memory: MachineMemory
+    peak_ckpt_words: Dict[int, int]
+    guard: RecoveryStateGuard
+
+
+def take_snapshot(interp: "ReferenceInterpreter") -> Snapshot:
+    """Capture ``interp``'s state at the entry of its next step.
+
+    Valid between steps: from a ``pre_step`` hook, or after a step
+    budget stopped the run (either engine parks an exact, resumable
+    position, even between the halves of a fused pair).
+    """
+    return Snapshot(
+        events=interp.events,
+        cost=interp.cost,
+        instrumentation_cost=interp.instrumentation_cost,
+        frame_counter=interp._frame_counter,
+        frames=tuple(FrameImage.of(frame) for frame in interp.frames),
+        memory=interp.memory.clone(),
+        peak_ckpt_words=dict(interp.peak_ckpt_words),
+        guard=interp.guard.copy(),
+    )
+
+
 Hook = Callable[["ReferenceInterpreter", StepEvent], None]
 ExternalFn = Callable[[Sequence[Word]], Word]
 
@@ -142,6 +244,12 @@ class ReferenceInterpreter:
     instance per run is exactly what guarantees that no ``_Frame``
     state — ``recovery_ptr``, ``region_ckpts``, register files — leaks
     from one trial into the next.
+
+    ``snapshot`` starts the instance from a captured :class:`Snapshot`
+    instead of a fresh run: its memory is cloned (once) in place of
+    ``memory_image`` and the instance counts as started, so
+    ``resume()`` continues the captured run and ``run()`` refuses.
+    The guard level must equal the snapshot's.
     """
 
     def __init__(
@@ -155,6 +263,7 @@ class ReferenceInterpreter:
         memory_image: Optional[MachineMemory] = None,
         max_threads: Optional[int] = None,
         quantum: Optional[int] = None,
+        snapshot: Optional[Snapshot] = None,
     ) -> None:
         self.module = module
         self.max_steps = max_steps
@@ -177,6 +286,8 @@ class ReferenceInterpreter:
         # A campaign runs the same module thousands of times; cloning a
         # pristine image is much cheaper than re-materializing every
         # global, and bit-identical to it by construction.
+        if snapshot is not None:
+            memory_image = snapshot.memory
         if memory_image is not None:
             self.memory = memory_image.clone()
         else:
@@ -195,6 +306,26 @@ class ReferenceInterpreter:
         # cost one word, memory entries two) — the measured counterpart
         # of Table 1's checkpoint-storage column.
         self.peak_ckpt_words: Dict[int, int] = {}
+        if snapshot is not None:
+            self._restore(snapshot)
+
+    def _restore(self, snapshot: Snapshot) -> None:
+        """Adopt every non-memory part of ``snapshot`` (copied)."""
+        if snapshot.guard.level != self.guard.level:
+            raise ValueError(
+                f"snapshot taken at guard level {snapshot.guard.level!r} "
+                f"cannot seed a run at {self.guard.level!r}"
+            )
+        self._started = True
+        self.events = snapshot.events
+        self.cost = snapshot.cost
+        self.instrumentation_cost = snapshot.instrumentation_cost
+        self.app_cost = snapshot.cost - snapshot.instrumentation_cost
+        self._frame_counter = snapshot.frame_counter
+        self.peak_ckpt_words = dict(snapshot.peak_ckpt_words)
+        self.guard = snapshot.guard.copy()
+        self._bind(ExecutionContext(0))
+        self.frames.extend(image.frame(self.module) for image in snapshot.frames)
 
     # ------------------------------------------------------------------
     # public API
@@ -664,14 +795,10 @@ class ReferenceInterpreter:
             )
         if self.scheduler is None:
             # First spawn of the run: bring up the scheduler around the
-            # already-running main context.  (A replayed chunk executes
-            # without run() having built a context — synthesize one.)
+            # already-running context (the main one that run() or a
+            # snapshot restore bound).
             from repro.runtime.scheduler import CooperativeScheduler
 
-            if self.context is None:
-                ctx = ExecutionContext(0)
-                ctx.frames = self.frames
-                self.context = ctx
             self.scheduler = CooperativeScheduler(quantum=self.quantum)
             self.scheduler.adopt(self.context, self.events)
         if (

@@ -1796,6 +1796,7 @@ class FastInterpreter(ReferenceInterpreter):
         memory_image: Optional[MachineMemory] = None,
         max_threads: Optional[int] = None,
         quantum: Optional[int] = None,
+        snapshot=None,
     ) -> None:
         super().__init__(
             module,
@@ -1807,6 +1808,7 @@ class FastInterpreter(ReferenceInterpreter):
             memory_image=memory_image,
             max_threads=max_threads,
             quantum=quantum,
+            snapshot=snapshot,
         )
         self._program: Optional[DecodedProgram] = None
         # Set by the first spawn/join the decoded code reaches: from
@@ -1817,11 +1819,15 @@ class FastInterpreter(ReferenceInterpreter):
         self._force_slow = False
         # Incremental peak_ckpt_words bookkeeping: (frame id, region id)
         # -> words currently logged.  Invalidated whenever a slow-path
-        # step (hook code, guard injection) may have touched a log.
+        # step (hook code, guard injection) may have touched a log; a
+        # run started from a snapshot begins empty and recounts each
+        # restored log on its first push.
         self._ckpt_words: Dict[Tuple[int, int], int] = {}
         self._ckpt_words_ok = True
         # Decoded memory templates probe the cell map directly; the
-        # dict object is stable for the life of a ``MachineMemory``.
+        # dict object is stable for the life of a ``MachineMemory``
+        # (set after the base class installed the run's memory, which
+        # a snapshot replaces).
         self._mem_cells = self.memory._cells
 
     def resume(self, output_objects=()):

@@ -14,7 +14,10 @@ which detection latency is a **measured** quantity:
   ``instrumentation_cost`` like any other Encore instrumentation;
 * a :class:`ReplayDetector` re-executes each chunk deterministically
   from its entry snapshot on a fresh reference interpreter and compares
-  digests.  A mismatch means a transient corrupted the original run of
+  digests.  The snapshot is the interpreter's own
+  :class:`~repro.runtime.interpreter.Snapshot`, the mechanism SFI
+  campaigns also use to start trials from golden-run snapshots, so
+  replay keeps no state-copying code of its own.  A mismatch means a transient corrupted the original run of
   the chunk: *divergence is detection*, and the observed latency is the
   distance (in dynamic instructions) from the fault event to the end of
   the divergent chunk — by construction at most one chunk.
@@ -22,7 +25,9 @@ which detection latency is a **measured** quantity:
 Design notes, in decreasing order of importance:
 
 * **Replay is snapshot-based, not golden-based.**  Each chunk replays
-  from its own entry snapshot, so the scheme composes with rollback:
+  from its own entry snapshot (not from a golden-run snapshot: the
+  main run may already carry a fault), so the scheme composes with
+  rollback:
   after a recovery redirect the next chunk simply snapshots the
   post-rollback state and stays self-consistent.  No golden chunk log
   or resynchronisation protocol is needed.
@@ -61,15 +66,17 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.module import Module
 from repro.runtime.engine import make_interpreter
+from repro.runtime.guarded_state import RecoveryStateGuard
 from repro.runtime.interpreter import (
     ExecResult,
     ExecutionLimit,
     ReferenceInterpreter,
+    Snapshot,
     StepEvent,
     Trap,
-    _Frame,
+    take_snapshot,
 )
-from repro.runtime.memory import MachineMemory, MemoryError_, Pointer, Word
+from repro.runtime.memory import MemoryError_, Pointer, Word
 
 #: Default chunk length in dynamic instructions.
 REPLAY_CHUNK_DEFAULT = 64
@@ -157,80 +164,6 @@ def digest_step(h: int, interp, event: StepEvent) -> int:
 
 
 @dataclasses.dataclass(frozen=True)
-class _FrameImage:
-    """Restorable copy of one activation frame at a chunk entry."""
-
-    id: int
-    func: str
-    regs: Dict
-    block: str
-    ip: int
-    stack_instances: Dict[str, str]
-    ret_dest: Optional[object]
-    region_ckpts: Dict[int, Tuple[tuple, ...]]
-    recovery_ptr: Optional[Tuple[int, str]]
-
-
-@dataclasses.dataclass(frozen=True)
-class ChunkSnapshot:
-    """Everything needed to deterministically re-execute from a chunk
-    entry: the frame stack, a memory clone, and the two name counters
-    (frame/heap) that make fresh instance names reproducible."""
-
-    events: int
-    frame_counter: int
-    frames: Tuple[_FrameImage, ...]
-    memory: MachineMemory
-
-
-def take_snapshot(interp) -> ChunkSnapshot:
-    """Capture the interpreter state at the entry of the next step."""
-    frames = tuple(
-        _FrameImage(
-            id=frame.id,
-            func=frame.func.name,
-            regs=dict(frame.regs),
-            block=frame.block,
-            ip=frame.ip,
-            stack_instances=dict(frame.stack_instances),
-            ret_dest=frame.ret_dest,
-            region_ckpts={
-                rid: tuple(records)
-                for rid, records in frame.region_ckpts.items()
-            },
-            recovery_ptr=frame.recovery_ptr,
-        )
-        for frame in interp.frames
-    )
-    return ChunkSnapshot(
-        events=interp.events,
-        frame_counter=interp._frame_counter,
-        frames=frames,
-        # clone() carries the heap counter, so allocation names replay.
-        memory=interp.memory.clone(),
-    )
-
-
-def _restore_frames(interp, snapshot: ChunkSnapshot) -> None:
-    interp._started = True
-    interp.events = snapshot.events
-    interp._frame_counter = snapshot.frame_counter
-    interp.frames = []
-    for image in snapshot.frames:
-        frame = _Frame(image.id, interp.module.function(image.func))
-        frame.regs = dict(image.regs)
-        frame.block = image.block
-        frame.ip = image.ip
-        frame.stack_instances = dict(image.stack_instances)
-        frame.ret_dest = image.ret_dest
-        frame.region_ckpts = {
-            rid: list(records) for rid, records in image.region_ckpts.items()
-        }
-        frame.recovery_ptr = image.recovery_ptr
-        interp.frames.append(frame)
-
-
-@dataclasses.dataclass(frozen=True)
 class ChunkRecord:
     """One closed chunk of the record log."""
 
@@ -259,7 +192,7 @@ class ReplayDetector:
         self.replayed_events = 0
 
     def check(
-        self, snapshot: ChunkSnapshot, chunk_len: int, expected_digest: int
+        self, snapshot: Snapshot, chunk_len: int, expected_digest: int
     ) -> bool:
         """Replay one chunk; True when it diverged from the record."""
         self.checks += 1
@@ -267,8 +200,12 @@ class ReplayDetector:
             self.module,
             max_steps=snapshot.events + chunk_len + 1,
             externals=self.externals,
-            memory_image=snapshot.memory,
+            metadata_guard=snapshot.guard.level,
+            snapshot=snapshot,
         )
+        # The digest covers the program's own effects only: the replay
+        # runs unguarded, so guard seals can never escalate a check.
+        interp.guard = RecoveryStateGuard()
         digest = _FNV_OFFSET
         state = {"h": digest}
 
@@ -276,7 +213,6 @@ class ReplayDetector:
             _state["h"] = digest_step(_state["h"], rinterp, event)
 
         interp.post_step = _fold
-        _restore_frames(interp, snapshot)
         executed = 0
         diverged = False
         try:
@@ -333,7 +269,7 @@ class ChunkRecorder:
         self.end_divergence = False
         #: Instrumentation cost charged for recording so far.
         self.record_cost = 0
-        self._snapshot: Optional[ChunkSnapshot] = None
+        self._snapshot: Optional[Snapshot] = None
         self._digest = _FNV_OFFSET
         self._steps = 0
         self._stride = 0

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import hashlib
 import random
 import threading
@@ -67,15 +68,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.ir.module import Module
 from repro.runtime.detection import DetectionModel
-from repro.runtime.engine import ENGINES, make_interpreter
+from repro.runtime.engine import ENGINES, engine_class, make_interpreter
 from repro.runtime.guarded_state import GUARD_LEVELS, METADATA_TARGETS
 from repro.runtime.interpreter import (
     ExecResult,
     ExecutionLimit,
     Interpreter,
+    Snapshot,
     StepEvent,
     Trap,
     bitflip,
+    take_snapshot,
 )
 from repro.runtime.memory import MachineMemory
 from repro.runtime.predecode import FastInterpreter
@@ -344,13 +347,24 @@ class CampaignConfig:
     # -- the campaign's fixed points ------------------------------------
 
     def golden(self, module: Module, externals=None,
-               memory_image: Optional[MachineMemory] = None) -> ExecResult:
-        """This campaign's fault-free reference run."""
+               memory_image: Optional[MachineMemory] = None,
+               record: bool = True) -> ExecResult:
+        """This campaign's fault-free reference run, under the trials'
+        metadata guard.
+
+        When the trials fast-forward from snapshots (fast engine, one
+        thread, model detector) it also carries up to
+        :data:`PREFIX_SNAPSHOTS` evenly spaced snapshots, which
+        :func:`run_trial` resumes each trial from.  ``record=False``
+        skips them where no trial runs from this golden (it only sizes
+        the plans).
+        """
         return golden_run(
             module, self.function, self.args, self.output_objects,
             externals=externals, engine=self.engine,
             memory_image=memory_image, threads=self.threads,
-            quantum=self.quantum,
+            quantum=self.quantum, metadata_guard=self.metadata_guard,
+            snapshots=PREFIX_SNAPSHOTS if record and _resumes(self) else 0,
         )
 
     def plans(self, trials: int, golden_events: int) -> List["FaultPlan"]:
@@ -359,6 +373,26 @@ class CampaignConfig:
             self.seed, trials, golden_events, self.detector,
             *(getattr(self, name) for name in _FAULT_COUNTS),
         )
+
+
+#: Snapshots a campaign's golden run keeps for its trials to resume
+#: from (see :meth:`CampaignConfig.golden`).
+PREFIX_SNAPSHOTS = 64
+
+#: Events between the first two golden snapshots; the spacing doubles
+#: whenever keeping another would exceed the snapshot count.
+_FIRST_SPACING = 16
+
+
+def _resumes(config: CampaignConfig) -> bool:
+    """Whether this campaign's trials resume from golden snapshots:
+    only fast-forwarded trials (the fast engine, no replay backend)
+    of single-threaded runs (snapshots hold no scheduler state)."""
+    return (
+        config.threads == 1
+        and config.detector_backend == "model"
+        and issubclass(engine_class(config.engine), FastInterpreter)
+    )
 
 
 def campaign_config(config: Optional[CampaignConfig] = None,
@@ -917,6 +951,8 @@ def golden_run(
     memory_image: Optional[MachineMemory] = None,
     threads: int = 1,
     quantum: Optional[int] = None,
+    metadata_guard: str = "off",
+    snapshots: int = 0,
 ) -> ExecResult:
     """The fault-free reference execution trials are classified against.
 
@@ -927,12 +963,59 @@ def golden_run(
     instead of re-materializing every global.  ``threads``/``quantum``
     configure the cooperative scheduler for multithreaded workloads
     (``threads=1``, the default, traps on any ``spawn``).
+    ``metadata_guard`` only changes the costs (guard work is
+    instrumentation cost), never events, output or value.
+
+    ``snapshots > 0`` records up to that many evenly spaced interpreter
+    snapshots (:class:`~repro.runtime.interpreter.Snapshot`) into the
+    result's ``snapshots``: the run stops on a step budget every
+    ``spacing`` events (exact on both engines) and is captured there;
+    when one more would exceed the count, every other one is dropped
+    and the spacing doubles.  The result is otherwise the unrecorded
+    one.
     """
     interp = make_interpreter(
         module, engine=engine, max_steps=max_steps, externals=externals,
         memory_image=memory_image, max_threads=threads, quantum=quantum,
+        metadata_guard=metadata_guard,
     )
-    return interp.run(function, args, output_objects=output_objects)
+    start = functools.partial(interp.run, function, args,
+                              output_objects=output_objects)
+    if not snapshots:
+        return start()
+    kept: List[Snapshot] = []
+    spacing = _FIRST_SPACING
+    while True:
+        interp.max_steps = min(
+            max_steps, (interp.events // spacing + 1) * spacing
+        )
+        try:
+            result = start()
+            break
+        except ExecutionLimit:
+            if interp.max_steps >= max_steps:
+                raise
+        kept.append(take_snapshot(interp))
+        if len(kept) > snapshots:
+            kept = kept[1::2]
+            spacing *= 2
+        start = functools.partial(interp.resume,
+                                  output_objects=output_objects)
+    return dataclasses.replace(result, snapshots=tuple(kept))
+
+
+def _resume_point(golden: ExecResult, stop: Optional[int],
+                  metadata_guard: str) -> Optional[Snapshot]:
+    """The latest of ``golden``'s snapshots at or before event ``stop``
+    (None: no usable one, the trial starts at event 0)."""
+    snapshots = golden.snapshots
+    if stop is not None:
+        snapshots = snapshots[:bisect.bisect_right(
+            snapshots, stop, key=lambda snap: snap.events,
+        )]
+    if not snapshots or snapshots[-1].guard.level != metadata_guard:
+        return None
+    return snapshots[-1]
 
 
 def _next_stop(parts) -> Optional[int]:
@@ -1034,21 +1117,27 @@ def run_trial(
             _rec.on_post_step(interp, event)
 
     max_steps = max(golden.events * max_steps_factor, 10_000)
+    parts = [injector, supervisor]
+    if cf_injector is not None:
+        parts.append(cf_injector)
+    # Fast-forward (see "Trial phases" in docs/sfi_campaigns.md): on the
+    # fast engine the trial starts from the latest golden snapshot
+    # before its first planned event, and every step before the hooks'
+    # next work runs decoded and hook-free, under a step budget that
+    # stops at that work.  The reference engine stays fully hooked from
+    # event 0 as the specification, and replay digests every step.
+    snapshot = None
+    if _resumes(config):
+        snapshot = _resume_point(golden, _next_stop(parts),
+                                 config.metadata_guard)
     interp = make_interpreter(
         module, engine=config.engine, max_steps=max_steps,
         pre_step=pre_step, post_step=post_step, externals=externals,
         metadata_guard=config.metadata_guard, memory_image=memory_image,
         max_threads=config.threads, quantum=config.quantum,
+        snapshot=snapshot,
     )
-    # Fast-forward (see "Trial phases" in docs/sfi_campaigns.md): on the
-    # fast engine every step before the hooks' next work runs decoded
-    # and hook-free, under a step budget that stops at that work.  The
-    # reference engine stays fully hooked as the specification, and
-    # replay digests every step.
     if recorder is None and isinstance(interp, FastInterpreter):
-        parts = [injector, supervisor]
-        if cf_injector is not None:
-            parts.append(cf_injector)
 
         def sleep(after: int) -> None:
             """Drop the hooks until the parts' next work, unless that is
@@ -1094,7 +1183,7 @@ def run_trial(
             start = resume
 
     try:
-        result = drive(lambda: interp.run(
+        result = drive(resume if snapshot is not None else lambda: interp.run(
             config.function, config.args,
             output_objects=config.output_objects,
         ))
@@ -1347,19 +1436,24 @@ def run_campaign(
     """
     config = campaign_config(config, **knobs)
     start = time.monotonic()
-    # One pristine memory image per campaign: every golden run and
-    # trial clones it instead of re-materializing all globals.
-    memory_image = MachineMemory.pristine(module)
-    golden = config.golden(module, externals, memory_image)
-    plans = config.plans(trials, golden.events)
     completed = {
         index: trial for index, trial in (completed or {}).items()
         if index < trials
     }
+    pending = sum(index not in completed for index in range(trials))
+    pooled = jobs > 1 and pending > 1
+    # One pristine memory image per campaign: every golden run and
+    # trial clones it instead of re-materializing all globals.  Golden
+    # snapshots are recorded where trials run: here when serial, in
+    # each worker when pooled.
+    memory_image = MachineMemory.pristine(module)
+    golden = config.golden(module, externals, memory_image,
+                           record=pending > 0 and not pooled)
+    plans = config.plans(trials, golden.events)
     todo = [plan for plan in plans if plan.trial_index not in completed]
     resumed = len(plans) - len(todo)
 
-    if jobs > 1 and len(todo) > 1:
+    if pooled:
         from repro.runtime.parallel import ParallelUnavailable, run_parallel_campaign
 
         try:
@@ -1375,7 +1469,7 @@ def run_campaign(
                 total=trials,
             )
         except ParallelUnavailable:
-            pass
+            golden = config.golden(module, externals, memory_image)
         except CampaignInterrupted as exc:
             # Journaled (resumed) trials are part of the partial result
             # the CLI reports, even though this run never re-executed

@@ -415,8 +415,10 @@ class CampaignTask:
     def _prepare(self) -> Tuple[Any, int]:
         module = parse_module(self.spec.module_text)
         verify_module(module)
+        # Only the plans need the golden here; workers record their own
+        # snapshots.
         golden = self.spec.config.golden(
-            module, memory_image=MachineMemory.pristine(module)
+            module, memory_image=MachineMemory.pristine(module), record=False
         )
         return module, golden.events
 

@@ -56,6 +56,15 @@ DEFAULT_JOURNAL_DIR = os.path.join("results", "service")
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
+class BadRequest(Exception):
+    """A client mistake in the request itself, answered with ``status``
+    (400, or 413 for an oversized body) instead of a server error."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class CampaignServer:
     """The service: admission queue, campaign registry, HTTP front."""
 
@@ -246,6 +255,11 @@ class CampaignServer:
             await self._route(writer, method, path, query, body)
         except ConnectionError:
             pass
+        except BadRequest as exc:
+            try:
+                await self._respond(writer, exc.status, {"error": str(exc)})
+            except (ConnectionError, RuntimeError):
+                pass
         except Exception as exc:  # noqa: BLE001 — one bad request
             try:
                 await self._respond(
@@ -280,13 +294,30 @@ class CampaignServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise BadRequest(
+                400, f"Content-Length must be a non-negative integer, "
+                     f"got {declared!r}"
+            )
+        length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise ValueError(f"request body too large ({length} bytes)")
+            raise BadRequest(
+                413, f"request body too large ({length} bytes, "
+                     f"limit {MAX_BODY_BYTES})"
+            )
         body: Optional[Dict] = None
         if length:
             raw = await reader.readexactly(length)
-            body = json.loads(raw.decode("utf-8"))
+            try:
+                body = json.loads(raw.decode("utf-8"))
+            except ValueError as exc:  # JSON and UTF-8 errors alike
+                raise BadRequest(400, f"malformed JSON body: {exc}") from None
+            if not isinstance(body, dict):
+                raise BadRequest(
+                    400, "request body must be a JSON object, "
+                         f"got {type(body).__name__}"
+                )
         split = urlsplit(target)
         query = {
             key: values[-1]
@@ -303,6 +334,7 @@ class CampaignServer:
         body = (json.dumps(payload, sort_keys=True) + "\n").encode()
         reason = {200: "OK", 202: "Accepted", 400: "Bad Request",
                   404: "Not Found", 409: "Conflict",
+                  413: "Payload Too Large",
                   500: "Internal Server Error"}.get(status, "OK")
         writer.write(
             f"HTTP/1.1 {status} {reason}\r\n"

@@ -245,6 +245,48 @@ class TestOracles:
             found.extend(f.kind for f in failures)
         assert any(kind.startswith("mismatch:") for kind in found), found
 
+    def test_fastforward_oracle_catches_a_snapshot_past_the_stop(
+            self, monkeypatch):
+        """Resuming from the first golden snapshot *after* a trial's first
+        planned event skips that event; the oracle must see it."""
+        from repro.runtime import sfi
+
+        def past(golden, stop, metadata_guard):
+            later = [snap for snap in golden.snapshots
+                     if stop is not None and snap.events > stop]
+            return later[0] if later else None
+
+        monkeypatch.setattr(sfi, "_resume_point", past)
+        self._assert_fastforward_mismatch()
+
+    def test_fastforward_oracle_catches_dropped_guard_tables(
+            self, monkeypatch):
+        """A snapshot without the guard's seals lets a checksum-guarded
+        rollback consume corrupted metadata the golden prefix sealed."""
+        import dataclasses
+
+        from repro.runtime import sfi
+        from repro.runtime.guarded_state import RecoveryStateGuard
+
+        exact = sfi.take_snapshot
+
+        def unsealed(interp):
+            snap = exact(interp)
+            return dataclasses.replace(
+                snap, guard=RecoveryStateGuard(snap.guard.level))
+
+        monkeypatch.setattr(sfi, "take_snapshot", unsealed)
+        self._assert_fastforward_mismatch()
+
+    @staticmethod
+    def _assert_fastforward_mismatch():
+        oracles = make_oracles(["fastforward"])
+        found = []
+        for seed in range(6):
+            failures = run_oracles(generate_program(seed, SMALL), oracles)
+            found.extend(f.kind for f in failures)
+        assert any(kind.startswith("mismatch:") for kind in found), found
+
     def test_replay_oracle_fingerprint_reduction_stable(self):
         # Coarse kinds survive delta-debugging: the same oracle+kind
         # fingerprints identically regardless of the detail text.

@@ -254,3 +254,41 @@ class TestParseErrors:
         text = "module m\n\nfunc main() {\nentry:\n  %x = mov banana\n  ret\n}"
         with pytest.raises(ParseError, match="bad operand"):
             parse_module(text)
+
+    def test_duplicate_global_in_example_names_its_line(self):
+        import os
+
+        path = os.path.join(os.path.dirname(__file__), "..", "examples",
+                            "ir", "pc_codec.ir")
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("global @data"))
+        lines.insert(at + 1, lines[at])
+        with pytest.raises(ParseError, match="duplicate global @data") as err:
+            parse_module("\n".join(lines))
+        assert err.value.line_no == at + 2
+
+    @pytest.mark.parametrize("text, what, line_no", [
+        ("module m\nglobal @g[1]\nglobal @g[2]\n", "duplicate global @g", 3),
+        ("module m\nfunc f() {\nentry:\n  ret\n}\nfunc f() {\nentry:\n"
+         "  ret\n}\n", "duplicate function f", 6),
+        ("module m\nfunc f() {\nentry:\n  jmp entry\nentry:\n  ret\n}\n",
+         "duplicate block label entry in f", 5),
+        ("module m\nfunc f() {\nstack @s[1]\nstack @s[1]\nentry:\n  ret\n}\n",
+         "duplicate stack object @s in f", 4),
+    ], ids=["global", "function", "label", "stack"])
+    def test_duplicates_are_located_parse_errors(self, text, what, line_no):
+        with pytest.raises(ParseError, match=what) as err:
+            parse_module(text)
+        assert err.value.line_no == line_no
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("module m\nglobal @g[2] = [1, x]\n", 2),
+        ("module m\nfunc f() {\nentry:\n  set_recovery_ptr %r1\n  ret\n}\n",
+         4),
+    ], ids=["initializer", "encore-operands"])
+    def test_malformed_values_are_located_parse_errors(self, text, line_no):
+        with pytest.raises(ParseError) as err:
+            parse_module(text)
+        assert err.value.line_no == line_no
